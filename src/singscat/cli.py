@@ -30,7 +30,8 @@ import time
 
 import numpy as np
 
-from . import connect, disk
+from . import bases, connect, disk
+from .currents import current
 from .errors import (
     BadGrid,
     NonSingular,
@@ -38,6 +39,7 @@ from .errors import (
     SingscatError,
     SubcriticalCoupling,
 )
+from .integrate import StateVector
 from .model import ProblemConfig, ValidatedConfig, normal_invariant, validate
 
 _USAGE_ERRORS = (BadGrid, NonSingular, SubcriticalCoupling)
@@ -152,7 +154,6 @@ def _core_checks(
 
     checks.append(_check("su11", res.su11_defect, 100.0 * tol, skipped=degenerate))
     checks.append(_check("su11_normalized", m.su11_defect_normalized, 100.0 * tol))
-    checks.append(_check("structure", res.structure_defect, 100.0 * tol, skipped=degenerate))
     checks.append(_check("wronskian_drift", res.wronskian_drift, 10.0 * tol))
     stab = max(
         res.stabilization_diff if not math.isnan(res.stabilization_diff) else 0.0,
@@ -227,9 +228,13 @@ def _verify_checks(
     coeffs: connect.ScatteringCoefficients,
     smap: connect.SMatrixMap,
     nodes: int,
+    *,
+    stabilize: bool,
 ) -> list[dict]:
     tol = config.tol
-    checks: list[dict] = []
+    checks: list[dict] = [
+        _check("global_error", connect._global_error(config, m, stabilize=stabilize), tol)
+    ]
 
     samples = disk.UnitaryFamilySample.uniform_grid(
         nodes, lambda om: connect.s_matrix(m, om)
@@ -254,19 +259,15 @@ def _verify_checks(
         checks.append(_check("mu_covariance_phase", abs(shift), 100.0 * tol))
         checks.append(_check("mu_covariance_moduli", mods, 10.0 * tol))
 
-    from . import bases as _b
-    from .currents import current as _current
-    from .integrate import StateVector as _SV
-
-    far = _b.eval_asymptotic(config, m.residuals.r_max_used, raise_on_error=False)
-    j1 = _current(_SV(far.first.r, far.first.u, far.first.du))
-    j2 = _current(_SV(far.second.r, far.second.u, far.second.du))
+    far = bases.eval_asymptotic(config, m.residuals.r_max_used, raise_on_error=False)
+    j1 = current(StateVector(far.first.r, far.first.u, far.first.du))
+    j2 = current(StateVector(far.second.r, far.second.u, far.second.du))
     cur_tol = max(100.0 * tol, 10.0 * far.trunc_error)
     checks.append(_check("current_outgoing", abs(j1.real - 2.0), cur_tol))
     checks.append(_check("current_ingoing", abs(j2.real + 2.0), cur_tol))
 
-    near = _b.eval_singularity(config, m.residuals.r_min_used, raise_on_error=False)
-    jp = _current(_SV(near.first.r, near.first.u, near.first.du))
+    near = bases.eval_singularity(config, m.residuals.r_min_used, raise_on_error=False)
+    jp = current(StateVector(near.first.r, near.first.u, near.first.du))
     near_tol = max(100.0 * tol, 10.0 * near.trunc_error)
     checks.append(_check("current_origin", abs(jp.real - 2.0), near_tol))
 
@@ -307,13 +308,13 @@ def _solve_report(config: ValidatedConfig, *, stabilize: bool) -> tuple[dict, tu
             "b": _pair(m.b),
             "residuals": {
                 "su11_defect": res.su11_defect,
-                "structure_defect": res.structure_defect,
                 "stabilization_diff": res.stabilization_diff,
                 "wronskian_drift": res.wronskian_drift,
                 "basis_trunc": res.basis_trunc,
                 "r_min_used": res.r_min_used,
                 "r_max_used": res.r_max_used,
                 "richardson_rate": res.richardson_rate,
+                "local_tol": res.local_tol,
             },
         },
         "coefficients": {
@@ -434,9 +435,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_verify(args) -> int:
     config = validate(ProblemConfig.from_json(args.config))
-    report, (m, coeffs, smap) = _solve_report(config, stabilize=not args.no_stabilize)
+    stabilize = not args.no_stabilize
+    report, (m, coeffs, smap) = _solve_report(config, stabilize=stabilize)
     checks = list(report["checks"])
-    checks.extend(_verify_checks(config, m, coeffs, smap, args.nodes))
+    checks.extend(_verify_checks(config, m, coeffs, smap, args.nodes, stabilize=stabilize))
     width = max(len(c["name"]) for c in checks)
     for c in checks:
         print(

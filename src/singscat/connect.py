@@ -1,7 +1,7 @@
 """Connection between the near-origin and far-field bases.
 
-The two-channel problem is solved by propagating the near-origin pair
-(u+, u-) outward and resolving each solution in the far-field basis by
+The two-channel problem is solved by propagating the near-origin
+solution u+ outward and resolving it in the far-field basis by
 Wronskian projection:
 
     C1 = W[u2, w] / W[u2, u1],      C2 = W[u1, w] / W[u1, u2].
@@ -9,16 +9,17 @@ Wronskian projection:
 Wronskians of solutions are r-independent, so the projections can be
 evaluated at any radius in the far-field region; averaging them over
 several radii a quarter-wavelength apart suppresses the residual
-oscillatory truncation error of the basis.  Conservation plus time
-reversal force the resulting map (C+, C-) -> (C1, C2) into the form
+oscillatory truncation error of the basis.  Both bases are closed under
+conjugation (u- = u+*, u2 = u1*), so u- resolves as (C2+*, C1+*) and
+the map (C+, C-) -> (C1, C2) has the form
 
-    M = [[a, b], [b*, a*]],        |a|^2 - |b|^2 = 1,
+    M = [[a, b], [b*, a*]],        a = C1+,  b = C2+*,
 
-whose deviations from that structure are recorded as diagnostics rather
-than silently repaired.  The extraction is repeated under doubling of
-the far matching radius until successive matrices agree to tolerance,
-with a final Richardson extrapolation at the empirically measured decay
-rate.
+by construction.  Conservation of the current adds |a|^2 - |b|^2 = 1,
+whose defect is recorded as a diagnostic rather than silently repaired.
+The extraction is repeated under doubling of the far matching radius
+until successive matrices agree to tolerance, with a final Richardson
+extrapolation at the empirically measured decay rate.
 
 From M follow the reflection/transmission amplitudes, and the reduced
 S-matrix as a function of the boundary-condition parameter Omega (the
@@ -81,13 +82,13 @@ class TransferResiduals:
     """Measured defects and bookkeeping of one extraction."""
 
     su11_defect: float           # | |a|^2 - |b|^2 - 1 |
-    structure_defect: float      # deviation of the raw 2x2 from [[a,b],[b*,a*]]
     stabilization_diff: float    # matrix change over the last radius doubling
     wronskian_drift: float       # conservation drift over the whole run
     basis_trunc: float           # far-field basis truncation at the final radius
     r_min_used: float
     r_max_used: float
     richardson_rate: float | None
+    local_tol: float             # per-step tolerance of the final sweep
 
 
 @dataclass(frozen=True)
@@ -152,41 +153,35 @@ def _project(config: ValidatedConfig, state: StateVector, *, strict: bool) -> tu
 
 def _averaged_projection(
     config: ValidatedConfig,
-    plus: StateVector,
-    minus: StateVector,
+    state: StateVector,
     *,
     local_tol: float,
     strict: bool,
-) -> tuple[complex, complex, complex, complex, StateVector, StateVector, float]:
-    """Project both solutions, averaged over radii pi/(2k) apart.
+) -> tuple[complex, complex, StateVector, float]:
+    """Project a solution, averaged over radii pi/(2k) apart.
 
-    Returns (C1+, C2+, C1-, C2-, last_plus, last_minus, drift_max).
+    Returns (C1, C2, last_state, drift_max).
     """
     step = math.pi / (2.0 * config.k)
-    acc = [0j, 0j, 0j, 0j]
+    c1 = c2 = 0j
     drift = 0.0
     for m in range(_N_PROJECTION_RADII):
         if m > 0:
             leg = propagate(
                 config,
-                plus,
-                plus.r + step,
-                companion=minus,
+                state,
+                state.r + step,
                 local_tol=local_tol,
                 drift_budget=config.tol,
                 keep_samples=False,
             )
-            plus = leg.final
-            minus = leg.companion_final
+            state = leg.final
             drift = max(drift, leg.wronskian_drift)
-        c1p, c2p = _project(config, plus, strict=strict)
-        c1m, c2m = _project(config, minus, strict=strict)
-        acc[0] += c1p
-        acc[1] += c2p
-        acc[2] += c1m
-        acc[3] += c2m
+        p1, p2 = _project(config, state, strict=strict)
+        c1 += p1
+        c2 += p2
     n = float(_N_PROJECTION_RADII)
-    return acc[0] / n, acc[1] / n, acc[2] / n, acc[3] / n, plus, minus, drift
+    return c1 / n, c2 / n, state, drift
 
 
 class _NoisePlateau(Exception):
@@ -201,59 +196,47 @@ def _extract_levels(
     max_levels: int,
     local_tol: float,
 ):
-    """One stabilization sweep; returns (levels, diffs, raw_defect,
-    drift, r_min)."""
+    """One stabilization sweep; returns (levels, diffs, drift, r_min)."""
     tol = config.tol
     r_min = bases.choose_r_min(config)
-    sing = bases.eval_singularity(config, r_min)
-    plus, minus = _basis_states(sing)
-    w_pair_ref = wronskian(plus, minus)  # -2i up to truncation
+    state, _ = _basis_states(bases.eval_singularity(config, r_min))
+    w_ref = wronskian(state, state.conjugate())  # -2i up to truncation
 
     strict = stabilize
     r_level = bases.choose_r_max_start(config) if stabilize else config.r_max
 
     levels: list[tuple[float, complex, complex]] = []
-    raw_defect = 0.0
     drift_total = 0.0
     diff = math.inf
     diffs: list[float] = []
-    state_p, state_m = plus, minus
 
     for _level in range(max_levels):
         leg = propagate(
             config,
-            state_p,
+            state,
             r_level,
-            companion=state_m,
             local_tol=local_tol,
             drift_budget=tol,
             keep_samples=False,
         )
-        state_p = leg.final
-        state_m = leg.companion_final
+        state = leg.final
         drift_total = max(drift_total, leg.wronskian_drift)
-        w_now = wronskian(state_p, state_m)
-        if abs(w_now - w_pair_ref) > 0.5 * abs(w_pair_ref):
+        w_now = wronskian(state, state.conjugate())
+        if abs(w_now - w_ref) > 0.5 * abs(w_ref):
             raise DegenerateColumns(
-                f"pair Wronskian moved from {w_pair_ref:.6g} to {w_now:.6g}"
+                f"W[u, u*] moved from {w_ref:.6g} to {w_now:.6g}"
             )
 
-        c1p, c2p, c1m, c2m, state_p, state_m, dr = _averaged_projection(
-            config, state_p, state_m, local_tol=local_tol, strict=strict
+        a_lvl, c2, state, dr = _averaged_projection(
+            config, state, local_tol=local_tol, strict=strict
         )
         drift_total = max(drift_total, dr)
-
-        a_lvl = 0.5 * (c1p + c2m.conjugate())
-        b_lvl = 0.5 * (c1m + c2p.conjugate())
-        scale = max(1.0, abs(a_lvl))
-        raw_defect = max(
-            abs(c1p - c2m.conjugate()), abs(c1m - c2p.conjugate())
-        ) / scale
+        b_lvl = c2.conjugate()
         levels.append((r_level, a_lvl, b_lvl))
 
         if len(levels) > 1:
             _, a_prev, b_prev = levels[-2]
-            diff = max(abs(a_lvl - a_prev), abs(b_lvl - b_prev)) / scale
+            diff = max(abs(a_lvl - a_prev), abs(b_lvl - b_prev)) / max(1.0, abs(a_lvl))
             diffs.append(diff)
             if diff < tol or not stabilize:
                 break
@@ -261,13 +244,13 @@ def _extract_levels(
             plateaued = len(diffs) >= 2 and diff > 0.3 * diffs[-2]
             if plateaued and trunc < 0.1 * tol:
                 raise _NoisePlateau
-        r_level = max(2.0 * r_level, state_p.r + math.pi / config.k)
+        r_level = max(2.0 * r_level, state.r + math.pi / config.k)
     else:
         raise NoStabilization(
             f"transfer matrix not stable after {max_levels} doublings "
             f"(last change {diff:.3e} > tol {tol:.1e})"
         )
-    return levels, diffs, raw_defect, drift_total, r_min
+    return levels, diffs, drift_total, r_min
 
 
 def transfer_matrix(
@@ -278,12 +261,12 @@ def transfer_matrix(
 ) -> TransferMatrix:
     """Extract the transfer matrix of a validated configuration.
 
-    Initializes the outgoing/ingoing pair from the near-origin basis at
-    an automatically refined inner radius, co-propagates both solutions
-    outward, and projects onto the far-field basis.  With
-    ``stabilize=True`` (default) the far matching radius is doubled
-    until successive matrices differ by less than ``tol``, and the last
-    two are Richardson-extrapolated; with ``stabilize=False`` a single
+    Initializes the outgoing solution from the near-origin basis at an
+    automatically refined inner radius, propagates it outward, and
+    projects onto the far-field basis.  With ``stabilize=True``
+    (default) the far matching radius is doubled until successive
+    matrices differ by less than ``tol``, and the last two are
+    Richardson-extrapolated; with ``stabilize=False`` a single
     extraction at exactly ``config.r_max`` is returned (intended for
     negative-control testing).  If the level differences plateau at the
     integration noise floor, the sweep restarts once with a tighter
@@ -294,13 +277,30 @@ def transfer_matrix(
     NoStabilization
         Doubling budget exhausted before successive agreement.
     DegenerateColumns
-        The propagated pair lost numerical independence.
+        The propagated solution lost its current, so it and its
+        conjugate are no longer independent.
     """
-    tol = config.tol
-    local_tol = tol / 2000.0
+    return _extract(config, stabilize, max_levels, config.tol / 2000.0)
+
+
+def _global_error(config: ValidatedConfig, m: TransferMatrix, *, stabilize: bool) -> float:
+    """max(|da|, |db|) / max(1, |a|) between ``m`` and a re-extraction at
+    1/30 of the per-step tolerance ``m`` was extracted at.
+
+    The conservation and unitarity residuals cannot see an error in the
+    global phase of a solution; this estimate of the integration error
+    can.  It is scaled like the level differences of the stabilization.
+    """
+    fine = _extract(config, stabilize, _MAX_LEVELS, m.residuals.local_tol / 30.0)
+    return max(abs(fine.a - m.a), abs(fine.b - m.b)) / max(1.0, abs(m.a))
+
+
+def _extract(
+    config: ValidatedConfig, stabilize: bool, max_levels: int, local_tol: float
+) -> TransferMatrix:
     for attempt in range(2):
         try:
-            levels, diffs, raw_defect, drift_total, r_min = _extract_levels(
+            levels, diffs, drift_total, r_min = _extract_levels(
                 config,
                 stabilize=stabilize,
                 max_levels=max_levels,
@@ -335,13 +335,13 @@ def transfer_matrix(
     far = bases.eval_asymptotic(config, r_report, raise_on_error=False)
     residuals = TransferResiduals(
         su11_defect=abs(abs(a_fin) ** 2 - abs(b_fin) ** 2 - 1.0),
-        structure_defect=raw_defect,
         stabilization_diff=diff,
         wronskian_drift=drift_total,
         basis_trunc=far.trunc_error,
         r_min_used=r_min,
         r_max_used=r_report,
         richardson_rate=rate,
+        local_tol=local_tol,
     )
     return TransferMatrix(a=a_fin, b=b_fin, residuals=residuals)
 

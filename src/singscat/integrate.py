@@ -2,13 +2,17 @@
 
 The stepper is an explicit embedded Runge-Kutta pair (Verner's "most
 robust" 6(5), nine stages, FSAL-style error stage) applied to the
-first-order system (u, u').  Complex components are advanced directly;
-the arithmetic is componentwise linear so conjugation and superposition
-commute with the integration to rounding accuracy.
+first-order system (u, u').  One complex solution is advanced as the
+scalar pair (u, du).  J and the tableau are real, so the integration
+commutes with conjugation: the conjugate solution u* is obtained by
+conjugating the result and is never propagated itself.
 
-A companion solution can be co-propagated on the shared step sequence.
-The Wronskian of the pair is then a conserved quantity and its relative
-drift is recorded; if the drift exceeds the configured budget the
+The Wronskian of the solution with its conjugate,
+
+    W[u, u*] = u du* - du u* = -i J[u],
+
+is a conserved quantity (the current, up to a factor).  Its maximum
+relative drift is recorded; if it exceeds a given drift budget the
 propagation retries with a tighter local tolerance before giving up.
 
 Step sizes are additionally capped at a fraction of the local
@@ -35,6 +39,10 @@ class StateVector:
     u: complex
     du: complex
 
+    def conjugate(self) -> "StateVector":
+        """The conjugate solution's sample at the same radius."""
+        return StateVector(self.r, self.u.conjugate(), self.du.conjugate())
+
 
 @dataclass(frozen=True)
 class StepStats:
@@ -48,28 +56,20 @@ class StepStats:
 class Trajectory:
     """Result of one propagation.
 
-    ``samples`` holds the main solution at accepted steps (always
-    including the initial and final states, strictly monotone in r);
-    ``companion_samples`` mirrors it when a companion was co-propagated.
-    ``wronskian_drift`` is the maximum relative drift of the pair
-    Wronskian over the run (None without a companion).
+    ``samples`` holds the solution at accepted steps (always including
+    the initial and final states, strictly monotone in r); the conjugate
+    solution is sample-wise the conjugate.  ``wronskian_drift`` is the
+    maximum drift of W[u, u*] over the run, relative to its initial value.
     """
 
     samples: tuple[StateVector, ...]
-    companion_samples: tuple[StateVector, ...] | None
-    wronskian_drift: float | None
+    wronskian_drift: float
     step_stats: StepStats
     local_tol: float
 
     @property
     def final(self) -> StateVector:
         return self.samples[-1]
-
-    @property
-    def companion_final(self) -> StateVector | None:
-        if self.companion_samples is None:
-            return None
-        return self.companion_samples[-1]
 
     def to_csv(self, path: str) -> None:
         """Dump (r, Re u, Im u, Re du, Im du) rows for debugging."""
@@ -123,55 +123,48 @@ _MAX_CONSECUTIVE_REJECTS = 64
 _WAVELENGTH_FRACTION = 0.4
 
 
-def _error_norm(err, y_old, y_new, rtol: float) -> float:
-    acc = 0.0
-    n = 0
-    for e, a, b in zip(err, y_old, y_new):
-        sc = rtol * max(abs(a), abs(b))
-        if sc == 0.0:
-            continue
-        q = abs(e) / sc
-        acc += q * q
-        n += 1
-    if n == 0:
-        return 0.0
-    return math.sqrt(acc / n)
+def _run(jfun, u, du, r0, r1, rtol, keep_samples):
+    """Advance (u, du) from r0 to r1; returns (samples, stats, drift).
 
-
-def _run(jfun, y0, r0, r1, rtol, keep_samples):
-    """Advance state tuple y0 from r0 to r1; returns (samples, stats, wmax).
-
-    y has 2 components (u, du) or 4 (u, du, v, dv).  wmax is the maximum
-    absolute deviation of the pair Wronskian from its initial value (0.0
-    for the 2-component case).
+    ``samples`` holds (r, u, du) tuples; ``drift`` is the maximum
+    deviation of W[u, u*] from its initial value, relative to that value.
+    Stage i of a step is the pair (u_i, d_i) with derivative (d_i, g_i),
+    g_i = -J(r + c_i h) u_i; stage 0 is the current point and stage 8
+    the accepted one.  Stages 7 and 8 both sit at r + h and share J.
     """
-    ncomp = len(y0)
-    track_w = ncomp == 4
     direction = 1.0 if r1 >= r0 else -1.0
     span = abs(r1 - r0)
     if span == 0.0:
-        return [(r0, y0)], StepStats(0, 0, 0.0, 0.0), 0.0
+        return [(r0, u, du)], StepStats(0, 0, 0.0, 0.0), 0.0
 
-    def f(r, y):
-        j = jfun(r)
-        if track_w:
-            return (y[1], -j * y[0], y[3], -j * y[2]), j
-        return (y[1], -j * y[0]), j
+    # the tableau with its zero entries dropped; c7 = c8 = 1
+    _, c1, c2, c3, c4, c5, c6, _, _ = _C
+    (a10,) = _A[1]
+    a20, a21 = _A[2]
+    a30, _, a32 = _A[3]
+    a40, _, a42, a43 = _A[4]
+    a50, _, a52, a53, a54 = _A[5]
+    a60, _, a62, a63, a64, a65 = _A[6]
+    a70, _, a72, a73, a74, a75, a76 = _A[7]
+    b0, _, _, b3, _, b5, b6, b7, _ = _B6
+    e0, _, _, e3, e4, e5, e6, e7, e8 = _E
+    sqrt = math.sqrt
+    cap_scale = _WAVELENGTH_FRACTION * 2.0 * math.pi
 
-    w0 = (y0[0] * y0[3] - y0[1] * y0[2]) if track_w else 0.0
-    w_scale = max(abs(w0), 1e-300)
-    wmax = 0.0
+    # W[u, u*] = 2i Im(u du*); its imaginary half is what drifts
+    s0 = u.imag * du.real - u.real * du.imag
+    s_scale = max(abs(s0), 1e-300)
+    dev_max = 0.0
 
-    j0 = jfun(r0)
-    wavelen = 2.0 * math.pi / math.sqrt(abs(j0)) if j0 != 0.0 else span
+    j = jfun(r0)
+    wavelen = 2.0 * math.pi / sqrt(abs(j)) if j != 0.0 else span
     h = direction * min(span, _WAVELENGTH_FRACTION * wavelen, span * 0.1 + 1e-12 * span)
     if h == 0.0:
         h = direction * span * 1e-3
 
     r = r0
-    y = y0
-    k1, jr = f(r, y)
-    samples = [(r0, y0)]
+    g = -j * u
+    samples = [(r0, u, du)]
     n_steps = 0
     n_rejected = 0
     rejects_in_row = 0
@@ -187,60 +180,65 @@ def _run(jfun, y0, r0, r1, rtol, keep_samples):
         if abs(h) < 5e-16 * max(abs(r), 1.0):
             raise StepUnderflow(f"step size underflow at r={r}: h={h}")
 
-        ks = [k1]
-        for i in range(1, 8):
-            row = _A[i]
-            yi = list(y)
-            for j, aij in enumerate(row):
-                if aij == 0.0:
-                    continue
-                kj = ks[j]
-                for c in range(ncomp):
-                    yi[c] += h * aij * kj[c]
-            ki, _ = f(r + _C[i] * h, tuple(yi))
-            ks.append(ki)
+        u1 = u + h * (a10 * du)
+        d1 = du + h * (a10 * g)
+        g1 = -jfun(r + c1 * h) * u1
+        u2 = u + h * (a20 * du + a21 * d1)
+        d2 = du + h * (a20 * g + a21 * g1)
+        g2 = -jfun(r + c2 * h) * u2
+        u3 = u + h * (a30 * du + a32 * d2)
+        d3 = du + h * (a30 * g + a32 * g2)
+        g3 = -jfun(r + c3 * h) * u3
+        u4 = u + h * (a40 * du + a42 * d2 + a43 * d3)
+        d4 = du + h * (a40 * g + a42 * g2 + a43 * g3)
+        g4 = -jfun(r + c4 * h) * u4
+        u5 = u + h * (a50 * du + a52 * d2 + a53 * d3 + a54 * d4)
+        d5 = du + h * (a50 * g + a52 * g2 + a53 * g3 + a54 * g4)
+        g5 = -jfun(r + c5 * h) * u5
+        u6 = u + h * (a60 * du + a62 * d2 + a63 * d3 + a64 * d4 + a65 * d5)
+        d6 = du + h * (a60 * g + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5)
+        g6 = -jfun(r + c6 * h) * u6
+        u7 = u + h * (a70 * du + a72 * d2 + a73 * d3 + a74 * d4 + a75 * d5 + a76 * d6)
+        d7 = du + h * (a70 * g + a72 * g2 + a73 * g3 + a74 * g4 + a75 * g5 + a76 * g6)
+        j_new = jfun(r + h)
+        g7 = -j_new * u7
+        u_new = u + h * (b0 * du + b3 * d3 + b5 * d5 + b6 * d6 + b7 * d7)
+        du_new = du + h * (b0 * g + b3 * g3 + b5 * g5 + b6 * g6 + b7 * g7)
+        g_new = -j_new * u_new
 
-        y_new = list(y)
-        for j, bj in enumerate(_B6[:8]):
-            if bj == 0.0:
-                continue
-            kj = ks[j]
-            for c in range(ncomp):
-                y_new[c] += h * bj * kj[c]
-        y_new = tuple(y_new)
-        k9, j_new = f(r + h, y_new)
-        ks.append(k9)
+        eu = abs(h * (e0 * du + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7 + e8 * du_new))
+        ed = abs(h * (e0 * g + e3 * g3 + e4 * g4 + e5 * g5 + e6 * g6 + e7 * g7 + e8 * g_new))
+        # RMS over (u, du) of the error relative to each component's size;
+        # a component that is zero at both ends is left out
+        su = rtol * max(abs(u), abs(u_new))
+        sd = rtol * max(abs(du), abs(du_new))
+        if su and sd:
+            qu = eu / su
+            qd = ed / sd
+            norm = sqrt((qu * qu + qd * qd) / 2)
+        else:
+            norm = eu / su if su else (ed / sd if sd else 0.0)
 
-        err = [0j] * ncomp
-        for j, ej in enumerate(_E):
-            if ej == 0.0:
-                continue
-            kj = ks[j]
-            for c in range(ncomp):
-                err[c] += h * ej * kj[c]
-
-        norm = _error_norm(err, y, y_new, rtol)
         if norm <= 1.0:
             r = r + h
-            y = y_new
-            k1 = k9
+            u = u_new
+            du = du_new
+            g = g_new
             n_steps += 1
             rejects_in_row = 0
             ah = abs(h)
             h_min = min(h_min, ah)
             h_max = max(h_max, ah)
             if keep_samples:
-                samples.append((r, y))
-            if track_w:
-                w = y[0] * y[3] - y[1] * y[2]
-                dev = abs(w - w0)
-                if dev > wmax:
-                    wmax = dev
+                samples.append((r, u, du))
+            dev = abs(u.imag * du.real - u.real * du.imag - s0)
+            if dev > dev_max:
+                dev_max = dev
             factor = 0.9 * norm ** (-_ORDER_EXP) if norm > 0.0 else 6.0
             factor = min(6.0, max(0.25, factor))
             h = h * factor
             if j_new > 0.0:
-                cap = _WAVELENGTH_FRACTION * 2.0 * math.pi / math.sqrt(j_new)
+                cap = cap_scale / sqrt(j_new)
                 if abs(h) > cap:
                     h = direction * cap
         else:
@@ -252,17 +250,16 @@ def _run(jfun, y0, r0, r1, rtol, keep_samples):
             h = h * factor
 
     if not keep_samples or samples[-1][0] != r:
-        samples.append((r, y))
+        samples.append((r, u, du))
     if h_min is math.inf:
         h_min = 0.0
-    return samples, StepStats(n_steps, n_rejected, h_min, h_max), wmax / w_scale
+    return samples, StepStats(n_steps, n_rejected, h_min, h_max), dev_max / s_scale
 
 
 def propagate(
     config: ValidatedConfig,
     init: StateVector,
     r_target: float,
-    companion: StateVector | None = None,
     *,
     local_tol: float | None = None,
     drift_budget: float | None = None,
@@ -278,13 +275,13 @@ def propagate(
         Starting state; must be finite with r > 0.
     r_target : float
         Final radius (either direction).
-    companion : StateVector, optional
-        Second solution co-propagated on the shared step sequence; the
-        pair Wronskian drift is then monitored against ``drift_budget``
-        (default 10 * tol) and the run retried at tighter local
-        tolerance if violated.
     local_tol : float, optional
         Per-step relative error target.  Defaults to tol / 100.
+    drift_budget : float, optional
+        Bound on the relative drift of W[u, u*].  When given, a run
+        whose drift exceeds half the budget is retried at a 30x tighter
+        local tolerance (three attempts in all); without it the drift is
+        only reported.
     keep_samples : bool
         Store every accepted step (default) or only the endpoints.
 
@@ -304,36 +301,25 @@ def propagate(
     jfun = invariant_callable(config)
     rtol = local_tol if local_tol is not None else config.tol / 100.0
     rtol = max(rtol, 4e-15)
-    budget = drift_budget if drift_budget is not None else 10.0 * config.tol
-
-    if companion is not None:
-        if abs(companion.r - init.r) > 1e-12 * max(1.0, init.r):
-            raise ValueError("companion must start at the same radius")
-        y0 = (init.u, init.du, companion.u, companion.du)
-    else:
-        y0 = (init.u, init.du)
 
     attempts = 3
     samples = stats = drift = None
     for attempt in range(attempts):
-        samples, stats, drift = _run(jfun, y0, init.r, r_target, rtol, keep_samples)
-        if companion is None or drift <= 0.5 * budget or rtol <= 4e-15:
+        samples, stats, drift = _run(
+            jfun, init.u, init.du, init.r, r_target, rtol, keep_samples
+        )
+        if drift_budget is None or drift <= 0.5 * drift_budget or rtol <= 4e-15:
             break
         rtol = max(rtol / 30.0, 4e-15)
-    if companion is not None and drift > budget:
+    if drift_budget is not None and drift > drift_budget:
         raise DriftExceeded(
-            f"Wronskian drift {drift:.3e} exceeds budget {budget:.3e} "
+            f"Wronskian drift {drift:.3e} exceeds budget {drift_budget:.3e} "
             f"(local_tol={rtol:.1e})"
         )
 
-    main = tuple(StateVector(r, y[0], y[1]) for r, y in samples)
-    comp = None
-    if companion is not None:
-        comp = tuple(StateVector(r, y[2], y[3]) for r, y in samples)
     return Trajectory(
-        samples=main,
-        companion_samples=comp,
-        wronskian_drift=drift if companion is not None else None,
+        samples=tuple(StateVector(*s) for s in samples),
+        wronskian_drift=drift,
         step_stats=stats,
         local_tol=rtol,
     )

@@ -314,8 +314,15 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         p = 2 with lam <= 1/4: the near-origin solutions stop
         oscillating, a regime outside this package's scope.
     BadGrid
-        Inconsistent radii, tolerances or parameters.
+        Non-finite or inconsistent radii, tolerances or parameters.
     """
+    for name, value in (
+        ("p", config.p), ("lambda", config.lam), ("k", config.k), ("tol", config.tol),
+        ("mu", config.mu), ("l_plus_nu", config.l_plus_nu), ("r_min", config.r_min),
+        ("r_max", config.r_max),
+    ):
+        if not math.isfinite(value):
+            raise BadGrid(f"{name} must be finite, got {value}")
     if not (config.p >= 2.0):
         raise BadGrid(f"p must satisfy p >= 2, got {config.p}")
     if config.lam <= 0.0:

@@ -56,6 +56,16 @@ class TestSolve:
         assert main(["solve", "--config", str(path), "--output", "-"]) == 2
         assert "k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, math.nan) for f in ("p", "lambda", "k", "tol", "mu", "l_plus_nu", "r_min", "r_max")]
+        + [("lambda", math.inf), ("k", math.inf), ("p", math.inf), ("r_max", math.inf)],
+    )
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, "nonfinite.json", **{field: value})
+        assert main(["solve", "--config", path, "--output", "-"]) == 2
+        assert capsys.readouterr().err.startswith("BadGrid:")
+
     def test_subcritical_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "sub.json", **{"lambda": 0.2})
         assert main(["solve", "--config", str(path), "--output", "-"]) == 2

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -15,19 +16,19 @@ from singscat import (
     s_matrix_inverse,
     scattering_coefficients,
 )
-from singscat.connect import TransferResiduals, _project
+from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, PoleProximity
 from tests.conftest import isp_config
 
 _DUMMY_RES = TransferResiduals(
     su11_defect=0.0,
-    structure_defect=0.0,
     stabilization_diff=0.0,
     wronskian_drift=0.0,
     basis_trunc=0.0,
     r_min_used=1e-4,
     r_max_used=100.0,
     richardson_rate=None,
+    local_tol=1e-13,
 )
 
 
@@ -205,6 +206,15 @@ class TestStabilization:
             res = solved(name).matrix.residuals
             assert res.stabilization_diff < solved(name).config.tol
             assert res.basis_trunc < solved(name).config.tol
+
+    def test_global_error_sees_a_phase_error(self, solved):
+        sol = solved("isp1")
+        m, tol = sol.matrix, sol.config.tol
+        assert _global_error(sol.config, m, stabilize=True) < tol
+        # a common phase leaves |a|^2 - |b|^2 and every modulus unchanged
+        turn = cmath.exp(1e-6j)
+        rotated = dataclasses.replace(m, a=m.a * turn, b=m.b * turn)
+        assert _global_error(sol.config, rotated, stabilize=True) > 100.0 * tol
 
 
 class TestGenericExponent:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from singscat import ProblemConfig, StateVector, eval_singularity, propagate, validate, wronskian
+from singscat.errors import DriftExceeded
 from tests.conftest import isp_config
 
 # free propagation: vanishing coupling with l+nu = 1/2 leaves J = k^2
@@ -37,12 +38,10 @@ def test_wronskian_drift_small_at_tight_tol():
     r0 = 1e-5
     pair = eval_singularity(cfg, r0)
     plus = StateVector(r0, pair.first.u, pair.first.du)
-    minus = StateVector(r0, pair.second.u, pair.second.du)
-    traj = propagate(cfg, plus, 60.0, companion=minus)
-    assert traj.wronskian_drift is not None
+    traj = propagate(cfg, plus, 60.0)
     assert traj.wronskian_drift < 1e-9
-    # the pair Wronskian is -2i up to truncation of the initial basis
-    w_end = wronskian(traj.final, traj.companion_final)
+    # W[u, u*] is -2i up to truncation of the initial basis
+    w_end = wronskian(traj.final, traj.final.conjugate())
     assert w_end == pytest.approx(-2j, abs=1e-7)
 
 
@@ -107,12 +106,7 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         propagate(FREE, StateVector(-1.0, 1.0 + 0j, 0j), 2.0)
     with pytest.raises(ValueError):
-        propagate(
-            FREE,
-            StateVector(1.0, 1.0 + 0j, 0j),
-            2.0,
-            companion=StateVector(1.5, 1.0 + 0j, 0j),
-        )
+        propagate(FREE, StateVector(1.0, 1.0 + 0j, 0j), -2.0)
 
 
 def test_pair_wronskian_constant_along_route():
@@ -120,10 +114,19 @@ def test_pair_wronskian_constant_along_route():
     cfg = isp_config(2.0)
     pair = eval_singularity(cfg, 2e-6)
     plus = StateVector(2e-6, pair.first.u, pair.first.du)
-    minus = StateVector(2e-6, pair.second.u, pair.second.du)
-    traj = propagate(cfg, plus, 30.0, companion=minus)
-    w0 = wronskian(traj.samples[0], traj.companion_samples[0])
-    step = max(1, len(traj.samples) // 20)
-    for i in range(0, len(traj.samples), step):
-        w = wronskian(traj.samples[i], traj.companion_samples[i])
-        assert abs(w - w0) / abs(w0) < 10.0 * cfg.tol
+    traj = propagate(cfg, plus, 30.0)
+    w0 = wronskian(plus, plus.conjugate())
+    drifts = [abs(wronskian(s, s.conjugate()) - w0) / abs(w0) for s in traj.samples]
+    step = max(1, len(drifts) // 20)
+    for d in drifts[::step]:
+        assert d < 10.0 * cfg.tol
+    # the monitor is the maximum of W[u, u*] over the accepted steps
+    assert traj.wronskian_drift == pytest.approx(max(drifts), rel=1e-12)
+
+
+def test_tiny_drift_budget_raises():
+    cfg = isp_config(1.0, tol=1e-6)
+    pair = eval_singularity(cfg, 1e-4)
+    init = StateVector(1e-4, pair.first.u, pair.first.du)
+    with pytest.raises(DriftExceeded):
+        propagate(cfg, init, 5.0, drift_budget=1e-18, keep_samples=False)
