@@ -16,13 +16,18 @@ Near the origin (r -> 0):
     p = 2:  u+(r) = sqrt(r/theta) (mu r)^(+i theta),  u- = conj(u+),
             exact for the pure conformal problem; contamination from k^2
             and W enters the truncation estimate.
-    p > 2:  u+(r) = sqrt(pi/n) e^(-i(eta pi/2 + pi/4)) sqrt(r) H2_eta(z),
+    p > 2:  u+(r) = sqrt(pi/n) e^(-i(eta pi/2 + pi/4)) sqrt(r) H2_eta(z)
+                    * A(r) e^(-i delta(r)),
             z = (2 sqrt(lambda)/n) r^(-n/2), n = p - 2, with the order
             eta = 2|l+nu|/n chosen so the Hankel solution solves the
             core *and* centrifugal parts of the equation exactly; the
             r -> 0 behavior is the order-independent leading form
-            (r^(p/4)/lambda^(1/4)) exp(-2i sqrt(lambda) r^(-n/2)/n), and
-            only k^2 and W contaminate the initialization.
+            (r^(p/4)/lambda^(1/4)) exp(-2i sqrt(lambda) r^(-n/2)/n).  The
+            factor A e^(-i delta) carries the first-order WKB amplitude and
+            phase imprint of k^2 and of a power-law W
+            (:func:`singscat.model.origin_perturbation`); only the
+            remainder of that expansion and a Gaussian barrier's phase
+            enter the truncation estimate.
 
 Powers (mu r)^(i theta) are evaluated as exp(i theta ln(mu r)) with the
 real logarithm, which fixes the branch for all r > 0.
@@ -44,6 +49,8 @@ from .model import (
     asymptotic_tail_residual,
     asymptotic_tail_terms,
     normal_invariant,
+    origin_perturbation,
+    origin_power_terms,
     singularity_phase_error,
 )
 
@@ -54,6 +61,7 @@ __all__ = [
     "eval_singularity",
     "wkb_reference",
     "choose_r_min",
+    "r_min_cap",
     "choose_r_max_start",
 ]
 
@@ -179,13 +187,10 @@ def eval_singularity(
         sqr = math.sqrt(r)
         u = pref * sqr * h
         du = pref * (h / (2.0 * sqr) + sqr * dh * dz)
-        if config.extra_potential is not None:
-            corr = config.extra_potential.origin_correction(r, lam, config.p)
-            if corr is not None:
-                delta, ddelta = corr
-                factor = cmath.exp(-1j * delta)
-                du = (du - 1j * ddelta * u) * factor
-                u = u * factor
+        pert = origin_perturbation(config, r)
+        phase = cmath.exp(-1j * pert.delta)
+        du = (du * pert.amp + u * (pert.damp - 1j * pert.ddelta * pert.amp)) * phase
+        u = u * pert.amp * phase
 
     plus = BasisValue("plus", r, u, du)
     minus = BasisValue("minus", r, u.conjugate(), du.conjugate())
@@ -224,28 +229,58 @@ def wkb_reference(
     return amplitude, phase
 
 
-def choose_r_min(config: ValidatedConfig, *, safety: float = 0.1) -> float:
-    """Largest radius <= config.r_min where the near-origin basis meets
-    ``safety * tol``; bracketed by halving, then bisected.
+def r_min_cap(config: ValidatedConfig) -> float:
+    """Upper end of the inner-radius search: half of ``config.r_max``,
+    and inside the core-dominated region, where each of the n other terms
+    of J (k^2, a centrifugal term for p > 2, W bounded by its coefficient
+    or height) stays below lambda r^(-p) / (2n)."""
+    terms = [(abs(c), q) for c, q in origin_power_terms(config)]
+    cf = abs(config.l_plus_nu ** 2 - 0.25)
+    if not config.is_conformal and cf != 0.0:
+        terms.append((cf, 2.0))
+    ep = config.extra_potential
+    if ep is not None and ep.power_term() is None:
+        terms.append((abs(dict(ep.params)["height"]), 0.0))
+    share = 0.5 / len(terms)
+    cap = 0.5 * config.r_max
+    for c, q in terms:
+        if c > 0.0:
+            cap = min(cap, (share * config.lam / c) ** (1.0 / (config.p - q)))
+    return cap
 
+
+def choose_r_min(config: ValidatedConfig, *, safety: float = 0.1) -> float:
+    """Largest radius up to :func:`r_min_cap` where the near-origin basis
+    meets ``safety * tol``, searched from ``config.r_min``.
+
+    ``config.r_min`` is a starting point: where the estimate holds there,
+    the radius is doubled while it keeps holding; otherwise it is halved
+    until it does.  The last bracket is then bisected geometrically.
     Keeping the radius as large as the estimate allows matters for
     p > 2, where the integration cost grows with the accumulated phase
     ~ r_min^(1 - p/2).
     """
     target = safety * config.tol
-    hi = config.r_min
-    if singularity_phase_error(config, hi) <= target:
-        return hi
-    lo = hi
-    for _ in range(400):
-        lo *= 0.5
-        if singularity_phase_error(config, lo) <= target:
-            break
+    cap = r_min_cap(config)
+    lo = hi = min(config.r_min, cap)
+    if singularity_phase_error(config, lo) <= target:
+        while lo < cap:
+            hi = min(2.0 * lo, cap)
+            if singularity_phase_error(config, hi) > target:
+                break
+            lo = hi
+        else:
+            return cap
     else:
-        raise SingularRegionTooFar(
-            f"could not reach truncation {target:.1e} by shrinking r_min "
-            f"(reached r={lo:.3e})"
-        )
+        for _ in range(400):
+            lo *= 0.5
+            if singularity_phase_error(config, lo) <= target:
+                break
+        else:
+            raise SingularRegionTooFar(
+                f"could not reach truncation {target:.1e} by shrinking r_min "
+                f"(reached r={lo:.3e})"
+            )
     for _ in range(8):
         mid = math.sqrt(lo * hi)
         if singularity_phase_error(config, mid) <= target:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BadGrid, NonSingular, SubcriticalCoupling
 
@@ -48,6 +48,9 @@ __all__ = [
     "invariant_callable",
     "asymptotic_tail_terms",
     "asymptotic_tail_residual",
+    "OriginPerturbation",
+    "origin_power_terms",
+    "origin_perturbation",
     "singularity_phase_error",
 ]
 
@@ -56,6 +59,10 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def _is_integerish(x: float, eps: float = 1e-9) -> bool:
     return abs(x - round(x)) < eps
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,13 @@ class ExtraPotential:
         if not isinstance(desc, dict) or "name" not in desc:
             raise BadGrid("extra_potential descriptor must be a dict with a 'name'")
         name = desc["name"]
-        params = {k: float(v) for k, v in desc.items() if k != "name"}
+        params = {}
+        for key, v in desc.items():
+            if key == "name":
+                continue
+            if not _is_number(v) or not math.isfinite(v):
+                raise BadGrid(f"extra_potential {key} must be a finite number, got {v!r}")
+            params[key] = float(v)
         if name == "gaussian_barrier":
             missing = {"height", "center", "width"} - set(params)
             if missing:
@@ -125,44 +138,28 @@ class ExtraPotential:
         return coef * r ** (1.0 - q) / (q - 1.0)
 
     def origin_phase(self, r: float, lam: float, p: float) -> float:
-        """Bound on the WKB phase integral of |W| / (2 sqrt(J)) over (0, r)."""
-        sl = math.sqrt(lam)
-        if self.name == "gaussian_barrier":
-            h = abs(self._p("height"))
-            return h * r ** (p / 2.0 + 1.0) / (2.0 * sl * (p / 2.0 + 1.0))
-        coef, q = abs(self._p("coefficient")), self._p("exponent")
-        e = p / 2.0 - q + 1.0
-        if e <= 0:  # not subdominant; validation rejects this earlier
-            return math.inf
-        return coef * r ** e / (2.0 * sl * e)
+        """Bound on the WKB phase integral of |W| / (2 sqrt(J)) over (0, r)
+        for the Gaussian barrier, whose |W| stays below its height.
+
+        Power-law W has no such bound term: the near-origin basis carries
+        its imprint (see :func:`origin_perturbation`).
+        """
+        h = abs(self._p("height"))
+        return h * r ** (p / 2.0 + 1.0) / (2.0 * math.sqrt(lam) * (p / 2.0 + 1.0))
+
+    def power_term(self) -> tuple[float, float] | None:
+        """(c, q) such that -W = c r^(-q), for power-law W; None otherwise."""
+        if self.name != "inverse_power":
+            return None
+        return (-self._p("coefficient"), self._p("exponent"))
 
     def integer_tail_term(self) -> tuple[int, float] | None:
         """(exponent, coefficient) contribution of -W to the far expansion
         of J - k^2, when the exponent is an integer; None otherwise."""
-        if self.name != "inverse_power":
+        term = self.power_term()
+        if term is None or not _is_integerish(term[1]):
             return None
-        coef, q = self._p("coefficient"), self._p("exponent")
-        if _is_integerish(q):
-            return (int(round(q)), -coef)
-        return None
-
-    def origin_correction(self, r: float, lam: float, p: float) -> tuple[float, float] | None:
-        """First-order phase imprint of W on the near-origin basis.
-
-        For power-law W the phase integral over (0, r) of W / (2 sqrt(J_core))
-        is elementary; returns (delta, d delta/dr) so the basis can carry
-        the factor exp(-i delta) exactly.  None when no correction is
-        available (the Gaussian barrier's imprint is already negligible
-        at matching radii).
-        """
-        if self.name != "inverse_power":
-            return None
-        coef, q = self._p("coefficient"), self._p("exponent")
-        sl = math.sqrt(lam)
-        e = p / 2.0 - q + 1.0
-        delta = coef * r ** e / (2.0 * sl * e)
-        ddelta = coef * r ** (e - 1.0) / (2.0 * sl)
-        return delta, ddelta
+        return (int(round(term[1])), term[0])
 
 
 @dataclass(frozen=True)
@@ -221,6 +218,10 @@ class ProblemConfig:
             if req not in d:
                 name = "lambda" if req == "lam" else req
                 raise BadGrid(f"missing required config field '{name}'")
+        for key, value in d.items():
+            if key != "extra_potential" and not _is_number(value):
+                name = "lambda" if key == "lam" else key
+                raise BadGrid(f"{name} must be a number, got {value!r}")
         return cls(**d)
 
     @classmethod
@@ -449,31 +450,99 @@ def asymptotic_tail_residual(config: ValidatedConfig, r: float) -> float:
     return est
 
 
-def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
-    """Phase-error bound for initializing with the near-origin basis at r.
+class OriginPerturbation(NamedTuple):
+    """First-order correction of the p > 2 near-origin basis at one radius.
 
-    Collects the WKB phase contributions over (0, r) of the terms of J
-    that the basis functions do not resolve: k^2 and W.  (The
-    centrifugal term is absorbed exactly -- into the effective coupling
-    for p = 2 and into the Hankel order for p > 2.)
+    The corrected basis is the Hankel solution of the core times
+    ``amp * exp(-i delta)``; ``remainder`` bounds what it still misses.
+    """
+
+    delta: float
+    ddelta: float
+    amp: float
+    damp: float
+    remainder: float
+
+
+def origin_power_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
+    """Power-law terms (c, q) of P(r) = sum c r^(-q), the part of J beyond
+    the core that the near-origin basis does not solve exactly: k^2
+    (q = 0) and an ``inverse_power`` W (c = -coefficient)."""
+    w = config.extra_potential.power_term() if config.extra_potential else None
+    return ((config.k ** 2, 0.0),) if w is None else ((config.k ** 2, 0.0), w)
+
+
+def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation:
+    """Phase imprint, amplitude factor and remainder bound of the
+    power-law terms P(r) on the p > 2 near-origin basis at r.
+
+    The Hankel basis solves J_core = lambda r^(-p) - cf/r^2 exactly.  To
+    first order in P the solution of the full equation is that basis times
+    the WKB amplitude factor (1 + P r^p / lambda)^(-1/4) and the phase
+    factor exp(-i delta), with
+
+        delta = -sum c r^e / (2 sqrt(lambda) e),     e = p/2 - q + 1 > 0,
+
+    the phase integral of P / (2 sqrt(J_core)) over (0, r).  The
+    remainder bound adds, conservatively,
+
+    * the amplitude-order term sum |c| r^(p-q) / (4 lambda);
+    * the second-order phase: the integral of P^2 r^(3p/2) / (8 lambda^1.5);
+    * the phase that the residual of the corrected basis in the full
+      equation imprints: for each term x = c r^(p-q) / lambda that
+      residual is about C x / r^2 with C = |(p-q)(p-q-1)| / 4 + p(p-q) / 8,
+      from the curvature of the amplitude factor, and its effect grows
+      like r^(p/2 - 1) times the amplitude-order term, so it dominates
+      only at loose tol;
+    * the error of taking |u_Hankel|^2 = r^(p/2) / sqrt(lambda) inside the
+      phase integrals, twice the first term (4 eta^2 - 1) / (8 z^2) of the
+      asymptotic expansion of the Hankel modulus (zero for p = 4,
+      l+nu = 1/2).
+    """
+    lam, p = config.lam, config.p
+    sl = math.sqrt(lam)
+    n = p - 2.0
+    eta = 2.0 * abs(config.l_plus_nu) / n
+    hankel = abs(4.0 * eta * eta - 1.0) * n * n / (32.0 * lam)  # |4 eta^2 - 1| / (8 z^2 r^n)
+    terms = origin_power_terms(config)
+    delta = ddelta = x = dx = remainder = 0.0
+    for c, q in terms:
+        e = p / 2.0 - q + 1.0
+        rate = c * r ** (e - 1.0) / (2.0 * sl)  # P-term / (2 sqrt(J_core))
+        ddelta -= rate
+        delta -= rate * r / e
+        xi = c * r ** (p - q) / lam
+        x += xi
+        dx += (p - q) * xi / r
+        remainder += abs(xi) / 4.0
+        curvature = abs((p - q) * (p - q - 1.0)) / 4.0 + p * (p - q) / 8.0
+        remainder += abs(c) * (hankel + curvature / (2.0 * lam)) * r ** (e + n) / (sl * (e + n))
+        for c2, q2 in terms:
+            e2 = 1.5 * p - q - q2 + 1.0
+            remainder += abs(c * c2) * r ** e2 / (8.0 * lam * sl * e2)
+    amp = (1.0 + x) ** -0.25
+    damp = -0.25 * amp * dx / (1.0 + x)
+    return OriginPerturbation(delta, ddelta, amp, damp, remainder)
+
+
+def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
+    """Error bound for initializing with the near-origin basis at r.
+
+    For p = 2 it collects the WKB phase contributions over (0, r) of the
+    terms of J that the basis does not resolve, k^2 and W (the
+    centrifugal term is absorbed into the effective coupling).  For
+    p > 2 the basis carries the first-order imprint of k^2 and of a
+    power-law W, so what enters is the remainder bound of
+    :func:`origin_perturbation`; a Gaussian barrier, not a power law,
+    still enters as its uncorrected phase.
     """
     base = config.base
-    root = math.sqrt(base.lam)
     if config.theta is not None:
+        root = math.sqrt(base.lam)
         est = base.k ** 2 * r * r / (4.0 * root)
     else:
-        half = base.p / 2.0
-        est = base.k ** 2 * r ** (half + 1.0) / (2.0 * root * (half + 1.0))
+        est = origin_perturbation(config, r).remainder
     ep = base.extra_potential
-    if ep is not None:
-        if config.theta is None and ep.origin_correction(r, base.lam, base.p) is not None:
-            # first-order W phase carried by the basis itself; what remains
-            # is the amplitude-order term and the second-order phase
-            coef = abs(dict(ep.params)["coefficient"])
-            q = dict(ep.params)["exponent"]
-            est += coef / (4.0 * base.lam) * r ** (base.p - q)
-            e2 = 1.5 * base.p - 2.0 * q + 1.0
-            est += coef ** 2 / (8.0 * base.lam ** 1.5) * r ** e2 / e2
-        else:
-            est += ep.origin_phase(r, base.lam, base.p)
+    if ep is not None and ep.power_term() is None:
+        est += ep.origin_phase(r, base.lam, base.p)
     return est

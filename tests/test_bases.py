@@ -13,11 +13,24 @@ from singscat import (
     validate,
     wkb_reference,
 )
-from singscat.bases import choose_r_max_start, choose_r_min
+from singscat.bases import choose_r_max_start, choose_r_min, r_min_cap
 from singscat.errors import AsymptoticRegionTooClose, SingularRegionTooFar, TurningPoint
+from singscat.model import origin_perturbation, singularity_phase_error
 from tests.conftest import barrier_config, isp_config, quartic_config
 
 QUARTIC = quartic_config()
+GENERIC = validate(ProblemConfig(p=3.0, lam=2.0, k=1.0, l_plus_nu=0.3, tol=1e-8))
+
+
+def hankel_part(cfg, r):
+    """(u, du) of the near-origin basis with amp * exp(-i delta) divided out."""
+    got = eval_singularity(cfg, r, raise_on_error=False).first
+    pert = origin_perturbation(cfg, r)
+    phase = cmath.exp(-1j * pert.delta)
+    f = pert.amp * phase
+    df = (pert.damp - 1j * pert.ddelta * pert.amp) * phase
+    u = got.u / f
+    return u, (got.du - u * df) / f
 
 
 def as_state(bv) -> StateVector:
@@ -80,16 +93,24 @@ class TestSingularity:
         assert pair.first.u == pytest.approx(1.0 + 0j, abs=1e-15)
 
     def test_quartic_closed_form(self):
-        # for p = 4 the half-integer Hankel solution is elementary:
-        # u+ = r exp(-i/r) exactly
-        pair = eval_singularity(QUARTIC, 1.0, raise_on_error=False)
-        assert pair.first.u == pytest.approx(cmath.exp(-1j), abs=1e-12)
-        for r in (0.05, 0.3):
+        # for p = 4 the half-integer Hankel solution is elementary,
+        # u_core = r exp(-i/r); the basis is that core factor times the
+        # first-order factor amp * exp(-i delta) of P = k^2, here
+        # delta = -k^2 r^3 / 6 and amp = (1 + k^2 r^4)^(-1/4)
+        for r in (0.05, 0.3, 1.0):
             got = eval_singularity(QUARTIC, r, raise_on_error=False).first
-            want = r * cmath.exp(-1j / r)
-            assert got.u == pytest.approx(want, rel=1e-12)
-            want_du = (1.0 + 1j / r) * cmath.exp(-1j / r)
-            assert got.du == pytest.approx(want_du, rel=1e-12)
+            pert = origin_perturbation(QUARTIC, r)
+            assert pert.delta == pytest.approx(-(r ** 3) / 6.0, rel=1e-14)
+            assert pert.ddelta == pytest.approx(-(r ** 2) / 2.0, rel=1e-14)
+            assert pert.amp == pytest.approx((1.0 + r ** 4) ** -0.25, rel=1e-14)
+            assert pert.damp == pytest.approx(-(r ** 3) * (1.0 + r ** 4) ** -1.25, rel=1e-14)
+            phase = cmath.exp(-1j * pert.delta)
+            f = pert.amp * phase
+            df = (pert.damp - 1j * pert.ddelta * pert.amp) * phase
+            core = r * cmath.exp(-1j / r)
+            dcore = (1.0 + 1j / r) * cmath.exp(-1j / r)
+            assert got.u / f == pytest.approx(core, rel=1e-12)
+            assert got.du == pytest.approx(dcore * f + core * df, rel=1e-12)
 
     def test_conjugation(self):
         for cfg, r in ((isp_config(0.5), 1e-4), (QUARTIC, 0.01)):
@@ -105,17 +126,36 @@ class TestSingularity:
 
     def test_generic_order_satisfies_core_equation(self):
         # p = 3 with a generic angular parameter: the Hankel order absorbs
-        # the centrifugal term, so u'' + (lam r^-p - cf/r^2) u = 0 holds
-        # exactly; verified by finite-differencing the returned derivative
-        cfg = validate(ProblemConfig(p=3.0, lam=2.0, k=1.0, l_plus_nu=0.3, tol=1e-8))
+        # the centrifugal term, so the Hankel part u / (amp exp(-i delta))
+        # solves u'' + (lam r^-p - cf/r^2) u = 0 exactly; verified by
+        # finite-differencing its derivative
         r, h = 0.5, 0.5e-5
-        up = eval_singularity(cfg, r + h, raise_on_error=False).first
-        dn = eval_singularity(cfg, r - h, raise_on_error=False).first
-        mid = eval_singularity(cfg, r, raise_on_error=False).first
-        upp = (up.du - dn.du) / (2.0 * h)
+        upp = (hankel_part(GENERIC, r + h)[1] - hankel_part(GENERIC, r - h)[1]) / (2.0 * h)
         cf = 0.3 ** 2 - 0.25
-        want = -(2.0 * r ** -3.0 - cf / r ** 2) * mid.u
+        want = -(2.0 * r ** -3.0 - cf / r ** 2) * hankel_part(GENERIC, r)[0]
         assert upp == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("r", [0.02, 0.1, 0.5])
+    def test_corrected_basis_beats_core_in_full_equation(self, r):
+        # relative residual |u'' + J u| / |J u| of the full equation: P / J
+        # for the Hankel part alone, smaller for the corrected basis
+        h = 1e-6 * r
+
+        def residual(part):
+            upp = (part(r + h)[1] - part(r - h)[1]) / (2.0 * h)
+            ju = GENERIC.j(r) * part(r)[0]
+            return abs(upp + ju) / abs(ju)
+
+        def corrected_basis(x):
+            got = eval_singularity(GENERIC, x, raise_on_error=False).first
+            return got.u, got.du
+
+        core = residual(lambda x: hankel_part(GENERIC, x))
+        corrected = residual(corrected_basis)
+        assert core == pytest.approx(1.0 / GENERIC.j(r), rel=1e-3)
+        # the leftover is the amplitude factor's curvature, of relative
+        # order r^(p-2) = r against P / J
+        assert corrected < 2.0 * r * core
 
     def test_generic_order_currents(self):
         cfg = validate(ProblemConfig(p=3.0, lam=2.0, k=1.0, l_plus_nu=0.3, tol=1e-8))
@@ -168,13 +208,26 @@ class TestWkbReference:
 
 
 class TestRegionSelection:
-    def test_choose_r_min_meets_target(self):
-        from singscat.model import singularity_phase_error
+    # p = 3 with a large centrifugal term at loose tol: the core-dominated
+    # cap, not the estimate, ends the outward search
+    CAPPED = validate(ProblemConfig(p=3.0, lam=1.0, k=0.5, l_plus_nu=5.0, tol=1e-2))
 
-        for cfg in (isp_config(2.0), QUARTIC):
+    def test_choose_r_min_meets_target(self):
+        # the estimate holds at r and fails just above it, unless the cap
+        # is reached; the bisection resolves the crossing to a factor
+        # 2^(octaves/256), under 3% for the 7 octaves halved for isp
+        for cfg in (isp_config(2.0), QUARTIC, self.CAPPED):
             r = choose_r_min(cfg)
-            assert r <= cfg.r_min
-            assert singularity_phase_error(cfg, r) <= 0.1 * cfg.tol
+            target = 0.1 * cfg.tol
+            assert singularity_phase_error(cfg, r) <= target
+            if r < r_min_cap(cfg):
+                assert singularity_phase_error(cfg, 1.03 * r) > target
+
+    def test_r_min_is_searched_outward(self):
+        # the estimate holds at config.r_min = 1e-3 for QUARTIC, and the
+        # search moves past it; CAPPED stops at its core-dominated cap
+        assert choose_r_min(QUARTIC) > QUARTIC.r_min
+        assert choose_r_min(self.CAPPED) == r_min_cap(self.CAPPED) < 0.5 * self.CAPPED.r_max
 
     def test_choose_r_max_meets_target(self):
         for cfg in (isp_config(2.0), QUARTIC, barrier_config()):

@@ -2,10 +2,16 @@ import json
 import math
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from singscat import ProblemConfig, validate
+from singscat.bases import r_min_cap
 from singscat.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 ISP_THETA1 = {
     "p": 2.0,
@@ -65,6 +71,28 @@ class TestSolve:
         path = write_config(tmp_path, "nonfinite.json", **{field: value})
         assert main(["solve", "--config", path, "--output", "-"]) == 2
         assert capsys.readouterr().err.startswith("BadGrid:")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k": "abc"},
+            {"lambda": [1.0]},
+            {"tol": True},
+            {"p": 4.0, "l_plus_nu": 0.5, "extra_potential": {
+                "name": "gaussian_barrier", "height": math.nan, "center": 3.0, "width": 1.1}},
+            {"p": 4.0, "l_plus_nu": 0.5, "extra_potential": {
+                "name": "inverse_power", "coefficient": math.inf, "exponent": 2.5}},
+            {"p": 4.0, "l_plus_nu": 0.5, "extra_potential": {
+                "name": "gaussian_barrier", "height": "tall", "center": 3.0, "width": 1.1}},
+        ],
+        ids=["k-str", "lambda-list", "tol-bool", "height-nan", "coefficient-inf", "height-str"],
+    )
+    def test_malformed_value_exit_2(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, "malformed.json", **overrides)
+        assert main(["solve", "--config", path, "--output", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BadGrid:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_subcritical_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "sub.json", **{"lambda": 0.2})
@@ -209,12 +237,36 @@ class TestReconstruct:
 
 
 class TestVerify:
-    def test_conformal_suite_passes(self, isp_config_path, capsys):
-        assert main(["verify", "--config", isp_config_path]) == 0
+    @pytest.mark.parametrize(
+        "config",
+        sorted(CONFIGS.glob("*.json")) + ["p3", "p6"],
+        ids=lambda c: c if isinstance(c, str) else c.stem,
+    )
+    def test_suite_passes(self, tmp_path, capsys, config):
+        # every shipped config, and the strong cores p = 3 and p = 6 at
+        # tol 1e-8; p = 6 must solve and verify in under 10 s
+        if isinstance(config, str):
+            p = float(config[1:])
+            config = write_config(
+                tmp_path, f"{config}.json", p=p, l_plus_nu=0.5, tol=1e-8, **{"lambda": 1.0}
+            )
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", str(config)]) == 0
+        assert time.perf_counter() - t0 < 10.0
         assert "all invariants pass" in capsys.readouterr().out
 
-    def test_quartic_suite_passes(self, tmp_path, capsys):
-        path = write_config(tmp_path, "p4.json", p=4.0, l_plus_nu=0.5, **{"lambda": 1.0})
+    def test_loose_tol_small_k_searches_r_min_outward(self, tmp_path, capsys):
+        # at tol 1e-3 and k = 0.1 the estimate allows a large inner radius:
+        # the search leaves config.r_min far behind, stays below its cap
+        # and r_max, and the result passes every invariant
+        path = write_config(
+            tmp_path, "loose.json", p=4.0, k=0.1, l_plus_nu=0.5, tol=1e-3, **{"lambda": 1.0}
+        )
+        out = tmp_path / "loose_report.json"
+        assert main(["solve", "--config", path, "--output", str(out)]) == 0
+        r_min = json.loads(out.read_text())["transfer_matrix"]["residuals"]["r_min_used"]
+        cfg = validate(ProblemConfig.from_json(path))
+        assert 100.0 * cfg.r_min < r_min < r_min_cap(cfg) < cfg.r_max
         assert main(["verify", "--config", path]) == 0
         assert "all invariants pass" in capsys.readouterr().out
 

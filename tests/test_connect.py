@@ -6,6 +6,7 @@ import pytest
 
 from singscat import (
     OMEGA_INFINITY,
+    ProblemConfig,
     StateVector,
     TransferMatrix,
     blaschke_params,
@@ -15,9 +16,12 @@ from singscat import (
     s_matrix,
     s_matrix_inverse,
     scattering_coefficients,
+    transfer_matrix,
+    validate,
 )
 from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, PoleProximity
+from singscat.model import singularity_phase_error
 from tests.conftest import isp_config
 
 _DUMMY_RES = TransferResiduals(
@@ -251,3 +255,24 @@ class TestGenericExponent:
         # the attractive short-range tail must change the amplitudes
         bare = transfer_matrix(validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-5)))
         assert abs(scattering_coefficients(bare).R - c.R) > 1e-3
+
+    @pytest.mark.parametrize(
+        "p, k, tol, ref_tol",
+        [(3.0, 1.0, 1e-8, 1e-10), (4.0, 1.0, 1e-8, 1e-10), (6.0, 1.0, 1e-8, 1e-10),
+         (4.0, 0.1, 1e-3, 1e-8)],
+        ids=["p3", "p4", "p6", "p4-loose"],
+    )
+    def test_strong_core_against_tight_extraction(self, p, k, tol, ref_tol):
+        # the near-origin basis carries the first-order imprint of k^2, so
+        # r_min is searched outward past config.r_min; the result still
+        # agrees with a tighter extraction within tol, and the remainder
+        # bound at r_min_used covers the measured difference (at loose tol
+        # only with the amplitude factor's curvature term in the bound)
+        base = ProblemConfig(p=p, lam=1.0, k=k, l_plus_nu=0.5, tol=tol)
+        cfg = validate(base)
+        m = transfer_matrix(cfg)
+        ref = transfer_matrix(validate(dataclasses.replace(base, tol=ref_tol)))
+        da, db = abs(m.a - ref.a), abs(m.b - ref.b)
+        assert max(da, db) <= cfg.tol
+        assert m.residuals.r_min_used > cfg.r_min
+        assert singularity_phase_error(cfg, m.residuals.r_min_used) >= da

@@ -2,9 +2,13 @@
 
 Golden transfer matrices for every config in ``configs/`` and for the
 strong-core sweep base (p = 4, lambda = 1, l+nu = 1/2, tol 1e-8) at
-three k, each checked to the config tolerance.  The quartic inner-leg
-step count pins the step control: a change to the error norm, the step
-size policy or the wavelength cap moves it.
+three k, each checked to ``tol * max(1, |a|)``: the scale of the
+stabilization level differences and of ``verify``'s global error, equal
+to ``tol`` except for ``degenerate_barrier`` (|a| ~ 4150), whose golden
+comes from a tol-1e-7 extraction.  The quartic inner-leg step count pins
+the step control and the inner-radius choice: a change to the error
+norm, the step size policy, the wavelength cap or the near-origin error
+bound moves it.
 """
 
 from pathlib import Path
@@ -25,8 +29,8 @@ GOLDEN = {
                    complex(0.00010238858997017874, -0.001864636988969631)),
     "quartic": (complex(0.24227633134768034, -1.0053432828647093),
                 complex(0.18629672183515994, -0.1862967218313637)),
-    "degenerate_barrier": (complex(2629.9105849637317, 3213.4921100792144),
-                           complex(40.0299670321337, 4152.271405891578)),
+    "degenerate_barrier": (complex(2629.9130440733666, 3213.489481110444),
+                           complex(40.027237057183186, 4152.270955138678)),
     "core_k0.7": (complex(0.44041658985856624, -0.9708573711719812),
                   complex(0.26127648912531615, -0.26127648945406573)),
     "core_k1.5": (complex(-0.060680209084130125, -1.0124367225273851),
@@ -34,7 +38,7 @@ GOLDEN = {
     "core_k2.3": (complex(-0.46636959369283554, -0.8899906792588773),
                   complex(0.06922429852047186, -0.06922429847465615)),
 }
-QUARTIC_INNER_STEPS = 97313
+QUARTIC_INNER_STEPS = 17086
 
 
 def _config(name: str):
@@ -71,8 +75,9 @@ def extract():
 def test_golden_transfer_matrix(extract, name):
     cfg, m, _ = extract(name)
     a, b = GOLDEN[name]
-    assert abs(m.a - a) <= cfg.tol
-    assert abs(m.b - b) <= cfg.tol
+    scale = cfg.tol * max(1.0, abs(a))
+    assert abs(m.a - a) <= scale
+    assert abs(m.b - b) <= scale
 
 
 def test_quartic_inner_leg_step_count(extract):
