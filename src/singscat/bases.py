@@ -48,6 +48,7 @@ from .model import (
     ValidatedConfig,
     asymptotic_tail_residual,
     asymptotic_tail_terms,
+    core_tail_residual,
     normal_invariant,
     origin_perturbation,
     origin_power_terms,
@@ -245,7 +246,10 @@ def r_min_cap(config: ValidatedConfig) -> float:
     cap = 0.5 * config.r_max
     for c, q in terms:
         if c > 0.0:
-            cap = min(cap, (share * config.lam / c) ** (1.0 / (config.p - q)))
+            try:
+                cap = min(cap, (share * config.lam / c) ** (1.0 / (config.p - q)))
+            except OverflowError:  # p close to q: the term never competes
+                pass
     return cap
 
 
@@ -273,6 +277,7 @@ def choose_r_min(config: ValidatedConfig, *, safety: float = 0.1) -> float:
             return cap
     else:
         for _ in range(400):
+            hi = lo
             lo *= 0.5
             if singularity_phase_error(config, lo) <= target:
                 break
@@ -304,6 +309,10 @@ def choose_r_max_start(config: ValidatedConfig, *, safety: float = 0.1) -> float
         if clear and pair.trunc_error <= target:
             return r
         r *= 2.0
-    raise AsymptoticRegionTooClose(
-        f"far-field truncation still above {target:.1e} at r={r:.3e}"
-    )
+    msg = f"far-field truncation still above {target:.1e} at r={r:.3e}"
+    if core_tail_residual(config, r) > target:
+        msg += (
+            f": the lambda r^(1-p) tail of non-integer p = {config.p:g} is "
+            "outside the far-field series and decays too slowly"
+        )
+    raise AsymptoticRegionTooClose(msg)

@@ -141,9 +141,9 @@ def _basis_states(pair) -> tuple[StateVector, StateVector]:
     )
 
 
-def _project(config: ValidatedConfig, state: StateVector, *, strict: bool) -> tuple[complex, complex]:
+def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, complex]:
     """Resolve a state in the far-field basis at its own radius."""
-    pair = bases.eval_asymptotic(config, state.r, raise_on_error=strict)
+    pair = bases.eval_asymptotic(config, state.r)
     one, two = _basis_states(pair)
     w21 = wronskian(two, one)
     c1 = wronskian(two, state) / w21
@@ -156,7 +156,6 @@ def _averaged_projection(
     state: StateVector,
     *,
     local_tol: float,
-    strict: bool,
 ) -> tuple[complex, complex, StateVector, float]:
     """Project a solution, averaged over radii pi/(2k) apart.
 
@@ -173,11 +172,10 @@ def _averaged_projection(
                 state.r + step,
                 local_tol=local_tol,
                 drift_budget=config.tol,
-                keep_samples=False,
             )
             state = leg.final
             drift = max(drift, leg.wronskian_drift)
-        p1, p2 = _project(config, state, strict=strict)
+        p1, p2 = _project(config, state)
         c1 += p1
         c2 += p2
     n = float(_N_PROJECTION_RADII)
@@ -189,36 +187,22 @@ class _NoisePlateau(Exception):
     truncation is already far below it; integration noise dominates."""
 
 
-def _extract_levels(
-    config: ValidatedConfig,
-    *,
-    stabilize: bool,
-    max_levels: int,
-    local_tol: float,
-):
+def _extract_levels(config: ValidatedConfig, *, local_tol: float):
     """One stabilization sweep; returns (levels, diffs, drift, r_min)."""
     tol = config.tol
     r_min = bases.choose_r_min(config)
     state, _ = _basis_states(bases.eval_singularity(config, r_min))
     w_ref = wronskian(state, state.conjugate())  # -2i up to truncation
 
-    strict = stabilize
-    r_level = bases.choose_r_max_start(config) if stabilize else config.r_max
+    r_level = bases.choose_r_max_start(config)
 
     levels: list[tuple[float, complex, complex]] = []
     drift_total = 0.0
     diff = math.inf
     diffs: list[float] = []
 
-    for _level in range(max_levels):
-        leg = propagate(
-            config,
-            state,
-            r_level,
-            local_tol=local_tol,
-            drift_budget=tol,
-            keep_samples=False,
-        )
+    for _level in range(_MAX_LEVELS):
+        leg = propagate(config, state, r_level, local_tol=local_tol, drift_budget=tol)
         state = leg.final
         drift_total = max(drift_total, leg.wronskian_drift)
         w_now = wronskian(state, state.conjugate())
@@ -227,9 +211,7 @@ def _extract_levels(
                 f"W[u, u*] moved from {w_ref:.6g} to {w_now:.6g}"
             )
 
-        a_lvl, c2, state, dr = _averaged_projection(
-            config, state, local_tol=local_tol, strict=strict
-        )
+        a_lvl, c2, state, dr = _averaged_projection(config, state, local_tol=local_tol)
         drift_total = max(drift_total, dr)
         b_lvl = c2.conjugate()
         levels.append((r_level, a_lvl, b_lvl))
@@ -238,7 +220,7 @@ def _extract_levels(
             _, a_prev, b_prev = levels[-2]
             diff = max(abs(a_lvl - a_prev), abs(b_lvl - b_prev)) / max(1.0, abs(a_lvl))
             diffs.append(diff)
-            if diff < tol or not stabilize:
+            if diff < tol:
                 break
             trunc = bases.eval_asymptotic(config, r_level, raise_on_error=False).trunc_error
             plateaued = len(diffs) >= 2 and diff > 0.3 * diffs[-2]
@@ -247,30 +229,22 @@ def _extract_levels(
         r_level = max(2.0 * r_level, state.r + math.pi / config.k)
     else:
         raise NoStabilization(
-            f"transfer matrix not stable after {max_levels} doublings "
+            f"transfer matrix not stable after {_MAX_LEVELS} doublings "
             f"(last change {diff:.3e} > tol {tol:.1e})"
         )
     return levels, diffs, drift_total, r_min
 
 
-def transfer_matrix(
-    config: ValidatedConfig,
-    *,
-    stabilize: bool = True,
-    max_levels: int = _MAX_LEVELS,
-) -> TransferMatrix:
+def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
     """Extract the transfer matrix of a validated configuration.
 
     Initializes the outgoing solution from the near-origin basis at an
     automatically refined inner radius, propagates it outward, and
-    projects onto the far-field basis.  With ``stabilize=True``
-    (default) the far matching radius is doubled until successive
-    matrices differ by less than ``tol``, and the last two are
-    Richardson-extrapolated; with ``stabilize=False`` a single
-    extraction at exactly ``config.r_max`` is returned (intended for
-    negative-control testing).  If the level differences plateau at the
-    integration noise floor, the sweep restarts once with a tighter
-    local tolerance.
+    projects onto the far-field basis.  The far matching radius is
+    doubled until successive matrices differ by less than ``tol``, and
+    the last two are Richardson-extrapolated.  If the level differences
+    plateau at the integration noise floor, the sweep restarts once with
+    a tighter local tolerance.
 
     Raises
     ------
@@ -280,10 +254,10 @@ def transfer_matrix(
         The propagated solution lost its current, so it and its
         conjugate are no longer independent.
     """
-    return _extract(config, stabilize, max_levels, config.tol / 2000.0)
+    return _extract(config, config.tol / 2000.0)
 
 
-def _global_error(config: ValidatedConfig, m: TransferMatrix, *, stabilize: bool) -> float:
+def _global_error(config: ValidatedConfig, m: TransferMatrix) -> float:
     """max(|da|, |db|) / max(1, |a|) between ``m`` and a re-extraction at
     1/30 of the per-step tolerance ``m`` was extracted at.
 
@@ -291,21 +265,14 @@ def _global_error(config: ValidatedConfig, m: TransferMatrix, *, stabilize: bool
     global phase of a solution; this estimate of the integration error
     can.  It is scaled like the level differences of the stabilization.
     """
-    fine = _extract(config, stabilize, _MAX_LEVELS, m.residuals.local_tol / 30.0)
+    fine = _extract(config, m.residuals.local_tol / 30.0)
     return max(abs(fine.a - m.a), abs(fine.b - m.b)) / max(1.0, abs(m.a))
 
 
-def _extract(
-    config: ValidatedConfig, stabilize: bool, max_levels: int, local_tol: float
-) -> TransferMatrix:
+def _extract(config: ValidatedConfig, local_tol: float) -> TransferMatrix:
     for attempt in range(2):
         try:
-            levels, diffs, drift_total, r_min = _extract_levels(
-                config,
-                stabilize=stabilize,
-                max_levels=max_levels,
-                local_tol=local_tol,
-            )
+            levels, diffs, drift_total, r_min = _extract_levels(config, local_tol=local_tol)
             break
         except _NoisePlateau:
             if attempt == 1:
@@ -315,15 +282,10 @@ def _extract(
                 )
             local_tol /= 30.0
 
-    if stabilize:
-        _, a_fin, b_fin = levels[-1]
-    else:
-        # sabotage/testing mode: report the matrix at config.r_max itself,
-        # with the probe doubling only feeding the stabilization diagnostic
-        _, a_fin, b_fin = levels[0]
-    diff = diffs[-1] if diffs else math.nan
+    r_report, a_fin, b_fin = levels[-1]
+    diff = diffs[-1]
     rate = None
-    if stabilize and len(diffs) >= 2 and diffs[-1] > 0.0 and diffs[-2] > diffs[-1]:
+    if len(diffs) >= 2 and diffs[-1] > 0.0 and diffs[-2] > diffs[-1]:
         rate = math.log2(diffs[-2] / diffs[-1])
         rate = min(max(rate, 0.5), 12.0)
         fac = 2.0 ** rate - 1.0
@@ -331,7 +293,6 @@ def _extract(
         a_fin = a_fin + (a_fin - a_prev) / fac
         b_fin = b_fin + (b_fin - b_prev) / fac
 
-    r_report = levels[-1][0] if stabilize else levels[0][0]
     far = bases.eval_asymptotic(config, r_report, raise_on_error=False)
     residuals = TransferResiduals(
         su11_defect=abs(abs(a_fin) ** 2 - abs(b_fin) ** 2 - 1.0),

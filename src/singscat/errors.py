@@ -23,7 +23,11 @@ class SubcriticalCoupling(SingscatError):
 
 
 class BadGrid(SingscatError):
-    """Matching radii are not ordered as 0 < r_min < r_max, or tol <= 0."""
+    """Invalid configuration value: a config field that is unknown,
+    missing, not a finite number or out of range (p < 2, k or tol <= 0,
+    radii not ordered as 0 < r_min < r_max, ...), an invalid
+    extra_potential, or a command-line node count or sweep axis that the
+    config cannot take."""
 
 
 # --------------------------------------------------------------------- bases

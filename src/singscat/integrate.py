@@ -56,30 +56,16 @@ class StepStats:
 class Trajectory:
     """Result of one propagation.
 
-    ``samples`` holds the solution at accepted steps (always including
-    the initial and final states, strictly monotone in r); the conjugate
-    solution is sample-wise the conjugate.  ``wronskian_drift`` is the
-    maximum drift of W[u, u*] over the run, relative to its initial value.
+    ``final`` is the solution at the target radius; the conjugate
+    solution ends at its conjugate.  ``wronskian_drift`` is the maximum
+    drift of W[u, u*] over the accepted steps, relative to its initial
+    value.
     """
 
-    samples: tuple[StateVector, ...]
+    final: StateVector
     wronskian_drift: float
     step_stats: StepStats
     local_tol: float
-
-    @property
-    def final(self) -> StateVector:
-        return self.samples[-1]
-
-    def to_csv(self, path: str) -> None:
-        """Dump (r, Re u, Im u, Re du, Im du) rows for debugging."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,re_u,im_u,re_du,im_du\n")
-            for s in self.samples:
-                fh.write(
-                    f"{s.r:.17g},{s.u.real:.17g},{s.u.imag:.17g},"
-                    f"{s.du.real:.17g},{s.du.imag:.17g}\n"
-                )
 
 
 # Verner 6(5) tableau: 6th-order propagating solution with an embedded
@@ -123,10 +109,10 @@ _MAX_CONSECUTIVE_REJECTS = 64
 _WAVELENGTH_FRACTION = 0.4
 
 
-def _run(jfun, u, du, r0, r1, rtol, keep_samples):
-    """Advance (u, du) from r0 to r1; returns (samples, stats, drift).
+def _run(jfun, u, du, r0, r1, rtol):
+    """Advance (u, du) from r0 to r1; returns (end, stats, drift).
 
-    ``samples`` holds (r, u, du) tuples; ``drift`` is the maximum
+    ``end`` is the (r, u, du) tuple at r1; ``drift`` is the maximum
     deviation of W[u, u*] from its initial value, relative to that value.
     Stage i of a step is the pair (u_i, d_i) with derivative (d_i, g_i),
     g_i = -J(r + c_i h) u_i; stage 0 is the current point and stage 8
@@ -135,7 +121,7 @@ def _run(jfun, u, du, r0, r1, rtol, keep_samples):
     direction = 1.0 if r1 >= r0 else -1.0
     span = abs(r1 - r0)
     if span == 0.0:
-        return [(r0, u, du)], StepStats(0, 0, 0.0, 0.0), 0.0
+        return (r0, u, du), StepStats(0, 0, 0.0, 0.0), 0.0
 
     # the tableau with its zero entries dropped; c7 = c8 = 1
     _, c1, c2, c3, c4, c5, c6, _, _ = _C
@@ -164,7 +150,6 @@ def _run(jfun, u, du, r0, r1, rtol, keep_samples):
 
     r = r0
     g = -j * u
-    samples = [(r0, u, du)]
     n_steps = 0
     n_rejected = 0
     rejects_in_row = 0
@@ -229,8 +214,6 @@ def _run(jfun, u, du, r0, r1, rtol, keep_samples):
             ah = abs(h)
             h_min = min(h_min, ah)
             h_max = max(h_max, ah)
-            if keep_samples:
-                samples.append((r, u, du))
             dev = abs(u.imag * du.real - u.real * du.imag - s0)
             if dev > dev_max:
                 dev_max = dev
@@ -249,11 +232,9 @@ def _run(jfun, u, du, r0, r1, rtol, keep_samples):
             factor = max(0.1, 0.9 * norm ** (-_ORDER_EXP))
             h = h * factor
 
-    if not keep_samples or samples[-1][0] != r:
-        samples.append((r, u, du))
     if h_min is math.inf:
         h_min = 0.0
-    return samples, StepStats(n_steps, n_rejected, h_min, h_max), dev_max / s_scale
+    return (r, u, du), StepStats(n_steps, n_rejected, h_min, h_max), dev_max / s_scale
 
 
 def propagate(
@@ -263,7 +244,6 @@ def propagate(
     *,
     local_tol: float | None = None,
     drift_budget: float | None = None,
-    keep_samples: bool = True,
 ) -> Trajectory:
     """Propagate ``init`` from its radius to ``r_target``.
 
@@ -282,8 +262,6 @@ def propagate(
         whose drift exceeds half the budget is retried at a 30x tighter
         local tolerance (three attempts in all); without it the drift is
         only reported.
-    keep_samples : bool
-        Store every accepted step (default) or only the endpoints.
 
     Raises
     ------
@@ -303,11 +281,9 @@ def propagate(
     rtol = max(rtol, 4e-15)
 
     attempts = 3
-    samples = stats = drift = None
+    end = stats = drift = None
     for attempt in range(attempts):
-        samples, stats, drift = _run(
-            jfun, init.u, init.du, init.r, r_target, rtol, keep_samples
-        )
+        end, stats, drift = _run(jfun, init.u, init.du, init.r, r_target, rtol)
         if drift_budget is None or drift <= 0.5 * drift_budget or rtol <= 4e-15:
             break
         rtol = max(rtol / 30.0, 4e-15)
@@ -318,7 +294,7 @@ def propagate(
         )
 
     return Trajectory(
-        samples=tuple(StateVector(*s) for s in samples),
+        final=StateVector(*end),
         wronskian_drift=drift,
         step_stats=stats,
         local_tol=rtol,

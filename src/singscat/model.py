@@ -48,6 +48,7 @@ __all__ = [
     "invariant_callable",
     "asymptotic_tail_terms",
     "asymptotic_tail_residual",
+    "core_tail_residual",
     "OriginPerturbation",
     "origin_power_terms",
     "origin_perturbation",
@@ -437,13 +438,21 @@ def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[int, float], .
     return tuple(sorted((m, g) for m, g in terms.items() if g != 0.0))
 
 
+def core_tail_residual(config: ValidatedConfig, r: float) -> float:
+    """Phase-error bound at radius r of the core term lambda r^(-p) when p
+    is not an integer, so that the far-field series cannot represent it;
+    zero otherwise.  It decays only like r^(1-p)."""
+    base = config.base
+    if config.theta is not None or _is_integerish(base.p):
+        return 0.0
+    return base.lam * r ** (1.0 - base.p) / (2.0 * base.k * (base.p - 1.0))
+
+
 def asymptotic_tail_residual(config: ValidatedConfig, r: float) -> float:
     """Phase-error bound at radius r from parts of J - k^2 that the
     integer-exponent correction series cannot represent."""
     base = config.base
-    est = 0.0
-    if config.theta is None and not _is_integerish(base.p):
-        est += base.lam * r ** (1.0 - base.p) / (2.0 * base.k * (base.p - 1.0))
+    est = core_tail_residual(config, r)
     ep = base.extra_potential
     if ep is not None and ep.integer_tail_term() is None:
         est += ep.tail_integral(r) / (2.0 * base.k)

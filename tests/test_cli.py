@@ -1,5 +1,8 @@
+import cmath
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -7,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from singscat import ProblemConfig, validate
+import singscat
+from singscat import ProblemConfig, connect, validate
 from singscat.bases import r_min_cap
 from singscat.cli import main
 
@@ -55,6 +59,16 @@ class TestSolve:
         assert rep["coefficients"]["abs_R"] == pytest.approx(0.0432139, abs=1e-7)
         assert all(c["status"] != "fail" for c in rep["checks"])
         assert rep["derived"]["theta"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("p", [2.0001, 2.01])
+    def test_near_conformal_tail_named(self, tmp_path, capsys, p):
+        # the lambda r^(1-p) tail of a non-integer p barely above 2 keeps the
+        # far-field basis above target at every doubling of r_max
+        path = write_config(tmp_path, "near2.json", p=p, tol=1e-8)
+        assert main(["solve", "--config", path, "--output", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("AsymptoticRegionTooClose:")
+        assert f"non-integer p = {p:g}" in err and "r^(1-p)" in err
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -270,21 +284,33 @@ class TestVerify:
         assert main(["verify", "--config", path]) == 0
         assert "all invariants pass" in capsys.readouterr().out
 
-    def test_sabotaged_stabilization_fails(self, tmp_path, capsys):
-        path = write_config(tmp_path, "sab.json", r_max=2.5, tol=1e-2)
-        code = main(["verify", "--config", path, "--no-stabilize"])
+    def test_phase_rotated_matrix_fails(self, isp_config_path, capsys, monkeypatch):
+        # every solve hands back its matrix with a turned by a common phase;
+        # moduli, Blaschke structure and mu covariance cannot see it, the
+        # re-extraction of global_error does
+        extract = connect.transfer_matrix
+
+        def rotated(config):
+            m = extract(config)
+            return dataclasses.replace(m, a=m.a * cmath.exp(1e-6j))
+
+        monkeypatch.setattr(connect, "transfer_matrix", rotated)
+        code = main(["verify", "--config", isp_config_path])
         out = capsys.readouterr().out
         assert code == 1
-        assert "stabilization" in out
-        assert "FAILED" in out
+        assert "FAILED: global_error" in out
 
 
 class TestEntryPoint:
     def test_module_invocation(self, isp_config_path):
+        # the child imports the same singscat as this process, installed or not
+        src = str(Path(singscat.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "singscat", "solve", "--config", isp_config_path, "--output", "-"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)

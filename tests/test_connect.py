@@ -47,10 +47,10 @@ class TestProjection:
         pair = eval_asymptotic(cfg, r)
         one = StateVector(r, pair.first.u, pair.first.du)
         two = StateVector(r, pair.second.u, pair.second.du)
-        c1, c2 = _project(cfg, one, strict=True)
+        c1, c2 = _project(cfg, one)
         assert c1 == pytest.approx(1.0, abs=1e-12)
         assert c2 == pytest.approx(0.0, abs=1e-12)
-        c1, c2 = _project(cfg, two, strict=True)
+        c1, c2 = _project(cfg, two)
         assert c1 == pytest.approx(0.0, abs=1e-12)
         assert c2 == pytest.approx(1.0, abs=1e-12)
 
@@ -214,11 +214,11 @@ class TestStabilization:
     def test_global_error_sees_a_phase_error(self, solved):
         sol = solved("isp1")
         m, tol = sol.matrix, sol.config.tol
-        assert _global_error(sol.config, m, stabilize=True) < tol
+        assert _global_error(sol.config, m) < tol
         # a common phase leaves |a|^2 - |b|^2 and every modulus unchanged
         turn = cmath.exp(1e-6j)
         rotated = dataclasses.replace(m, a=m.a * turn, b=m.b * turn)
-        assert _global_error(sol.config, rotated, stabilize=True) > 100.0 * tol
+        assert _global_error(sol.config, rotated) > 100.0 * tol
 
 
 class TestGenericExponent:
