@@ -10,8 +10,7 @@ boundary family by Cauchy averaging.
 """
 
 from .bases import (
-    BasisPair,
-    BasisValue,
+    BasisSample,
     choose_r_max_start,
     choose_r_min,
     eval_asymptotic,
@@ -56,8 +55,7 @@ from .oracle import IspExactResult, complex_gamma, isp_exact
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisPair",
-    "BasisValue",
+    "BasisSample",
     "BlaschkeProduct",
     "ExtraPotential",
     "IspExactResult",

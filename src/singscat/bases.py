@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from scipy.integrate import quad
 from scipy.special import hankel2
 
 from .errors import AsymptoticRegionTooClose, SingularRegionTooFar, TurningPoint
+from .integrate import StateVector
 from .model import (
     ValidatedConfig,
     asymptotic_tail_residual,
@@ -56,8 +56,7 @@ from .model import (
 )
 
 __all__ = [
-    "BasisValue",
-    "BasisPair",
+    "BasisSample",
     "eval_asymptotic",
     "eval_singularity",
     "wkb_reference",
@@ -68,21 +67,16 @@ __all__ = [
 
 _MAX_SERIES_ORDER = 8
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
+#: Share of ``tol`` that the truncation of either basis may take at the
+#: radii where the propagation starts and ends.
+_TRUNC_SHARE = 0.1
 
 
-@dataclass(frozen=True)
-class BasisValue:
-    """Value and radial derivative of one basis member at radius r."""
+class BasisSample(NamedTuple):
+    """The outgoing basis member (u1 or u+) at one radius, and the
+    truncation estimate there; the ingoing member is ``state.conjugate()``."""
 
-    which: str  # 'plus' | 'minus' | 'one' | 'two'
-    r: float
-    u: complex
-    du: complex
-
-
-class BasisPair(NamedTuple):
-    first: BasisValue
-    second: BasisValue
+    state: StateVector
     trunc_error: float
 
 
@@ -106,8 +100,8 @@ def _series_coefficients(config: ValidatedConfig) -> list[complex]:
 
 def eval_asymptotic(
     config: ValidatedConfig, r: float, *, raise_on_error: bool = True
-) -> BasisPair:
-    """Outgoing/ingoing far-field pair (u1, u2) with derivatives at r.
+) -> BasisSample:
+    """Outgoing far-field member u1 with its derivative at r.
 
     The correction series is summed while its terms decrease; the first
     omitted term plus any non-representable tail forms the truncation
@@ -148,15 +142,13 @@ def eval_asymptotic(
     phase = cmath.exp(1j * k * r)
     u1 = pref * phase * f
     du1 = pref * phase * (1j * k * f + df)
-    one = BasisValue("one", r, u1, du1)
-    two = BasisValue("two", r, u1.conjugate(), du1.conjugate())
-    return BasisPair(one, two, est)
+    return BasisSample(StateVector(r, u1, du1), est)
 
 
 def eval_singularity(
     config: ValidatedConfig, r: float, *, raise_on_error: bool = True
-) -> BasisPair:
-    """Outgoing/ingoing near-origin pair (u+, u-) with derivatives at r.
+) -> BasisSample:
+    """Outgoing near-origin member u+ with its derivative at r.
 
     Raises :class:`SingularRegionTooFar` when the contamination estimate
     at r exceeds ``config.tol``.
@@ -193,9 +185,7 @@ def eval_singularity(
         du = (du * pert.amp + u * (pert.damp - 1j * pert.ddelta * pert.amp)) * phase
         u = u * pert.amp * phase
 
-    plus = BasisValue("plus", r, u, du)
-    minus = BasisValue("minus", r, u.conjugate(), du.conjugate())
-    return BasisPair(plus, minus, est)
+    return BasisSample(StateVector(r, u, du), est)
 
 
 def wkb_reference(
@@ -234,7 +224,12 @@ def r_min_cap(config: ValidatedConfig) -> float:
     """Upper end of the inner-radius search: half of ``config.r_max``,
     and inside the core-dominated region, where each of the n other terms
     of J (k^2, a centrifugal term for p > 2, W bounded by its coefficient
-    or height) stays below lambda r^(-p) / (2n)."""
+    or height) stays below lambda r^(-p) / (2n).
+
+    Raises :class:`SingularRegionTooFar` when that region is empty in
+    floating point: for p just above 2 a centrifugal term that beats
+    lambda / (2n) at r = 1 stays ahead of the core down to radii that
+    underflow to 0."""
     terms = [(abs(c), q) for c, q in origin_power_terms(config)]
     cf = abs(config.l_plus_nu ** 2 - 0.25)
     if not config.is_conformal and cf != 0.0:
@@ -247,15 +242,22 @@ def r_min_cap(config: ValidatedConfig) -> float:
     for c, q in terms:
         if c > 0.0:
             try:
-                cap = min(cap, (share * config.lam / c) ** (1.0 / (config.p - q)))
+                bound = (share * config.lam / c) ** (1.0 / (config.p - q))
             except OverflowError:  # p close to q: the term never competes
-                pass
+                continue
+            if bound <= 0.0:
+                term = "centrifugal term [(l+nu)^2 - 1/4]/r^2" if q == 2.0 else f"r^(-{q:g}) term"
+                raise SingularRegionTooFar(
+                    f"the core lambda r^(-p) of p = {config.p:g} outweighs the {term} "
+                    "only at radii that underflow to 0"
+                )
+            cap = min(cap, bound)
     return cap
 
 
-def choose_r_min(config: ValidatedConfig, *, safety: float = 0.1) -> float:
+def choose_r_min(config: ValidatedConfig) -> float:
     """Largest radius up to :func:`r_min_cap` where the near-origin basis
-    meets ``safety * tol``, searched from ``config.r_min``.
+    meets ``0.1 * tol``, searched from ``config.r_min``.
 
     ``config.r_min`` is a starting point: where the estimate holds there,
     the radius is doubled while it keeps holding; otherwise it is halved
@@ -264,7 +266,7 @@ def choose_r_min(config: ValidatedConfig, *, safety: float = 0.1) -> float:
     p > 2, where the integration cost grows with the accumulated phase
     ~ r_min^(1 - p/2).
     """
-    target = safety * config.tol
+    target = _TRUNC_SHARE * config.tol
     cap = r_min_cap(config)
     lo = hi = min(config.r_min, cap)
     if singularity_phase_error(config, lo) <= target:
@@ -295,18 +297,17 @@ def choose_r_min(config: ValidatedConfig, *, safety: float = 0.1) -> float:
     return lo
 
 
-def choose_r_max_start(config: ValidatedConfig, *, safety: float = 0.1) -> float:
+def choose_r_max_start(config: ValidatedConfig) -> float:
     """Smallest doubling of config.r_max where the far-field series meets
-    ``safety * tol`` and any barrier term has decayed away."""
-    target = safety * config.tol
+    ``0.1 * tol`` and any barrier term has decayed away."""
+    target = _TRUNC_SHARE * config.tol
     r = config.r_max
     ep = config.extra_potential
     for _ in range(16):
         clear = True
         if ep is not None and ep.name == "gaussian_barrier":
             clear = ep.tail_integral(r) / (2.0 * config.k) <= target
-        pair = eval_asymptotic(config, r, raise_on_error=False)
-        if clear and pair.trunc_error <= target:
+        if clear and eval_asymptotic(config, r, raise_on_error=False).trunc_error <= target:
             return r
         r *= 2.0
     msg = f"far-field truncation still above {target:.1e} at r={r:.3e}"

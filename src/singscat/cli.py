@@ -130,7 +130,7 @@ def _solve_report(config: ValidatedConfig) -> tuple[dict, tuple]:
     res = m.residuals
     derived = {"theta": config.theta, "n_exponent": config.n_exponent}
     report = {
-        "config": config.base.to_dict(),
+        "config": config.to_dict(),
         "derived": derived,
         "transfer_matrix": {
             "a": _pair(m.a),
@@ -201,11 +201,11 @@ def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
         values = np.linspace(start, stop, count)
         for v in values:
             if args.axis == "k":
-                sub = validate(ProblemConfig.from_dict({**config.base.to_dict(), "k": float(v)}))
+                sub = validate(ProblemConfig.from_dict({**config.to_dict(), "k": float(v)}))
             else:
                 if not config.is_conformal:
                     raise BadGrid("theta sweep requires a p=2 configuration")
-                d = config.base.to_dict()
+                d = config.to_dict()
                 d["lambda"] = float(v) ** 2 + 0.25
                 sub = validate(ProblemConfig.from_dict(d))
             m = connect.transfer_matrix(sub)

@@ -133,18 +133,10 @@ class SMatrixMap:
     constant: complex | None
 
 
-def _basis_states(pair) -> tuple[StateVector, StateVector]:
-    f, s = pair.first, pair.second
-    return (
-        StateVector(f.r, f.u, f.du),
-        StateVector(s.r, s.u, s.du),
-    )
-
-
 def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, complex]:
     """Resolve a state in the far-field basis at its own radius."""
-    pair = bases.eval_asymptotic(config, state.r)
-    one, two = _basis_states(pair)
+    one = bases.eval_asymptotic(config, state.r).state
+    two = one.conjugate()
     w21 = wronskian(two, one)
     c1 = wronskian(two, state) / w21
     c2 = wronskian(one, state) / (-w21)
@@ -166,13 +158,7 @@ def _averaged_projection(
     drift = 0.0
     for m in range(_N_PROJECTION_RADII):
         if m > 0:
-            leg = propagate(
-                config,
-                state,
-                state.r + step,
-                local_tol=local_tol,
-                drift_budget=config.tol,
-            )
+            leg = propagate(config, state, state.r + step, local_tol=local_tol)
             state = leg.final
             drift = max(drift, leg.wronskian_drift)
         p1, p2 = _project(config, state)
@@ -191,7 +177,7 @@ def _extract_levels(config: ValidatedConfig, *, local_tol: float):
     """One stabilization sweep; returns (levels, diffs, drift, r_min)."""
     tol = config.tol
     r_min = bases.choose_r_min(config)
-    state, _ = _basis_states(bases.eval_singularity(config, r_min))
+    state = bases.eval_singularity(config, r_min).state
     w_ref = wronskian(state, state.conjugate())  # -2i up to truncation
 
     r_level = bases.choose_r_max_start(config)
@@ -202,7 +188,7 @@ def _extract_levels(config: ValidatedConfig, *, local_tol: float):
     diffs: list[float] = []
 
     for _level in range(_MAX_LEVELS):
-        leg = propagate(config, state, r_level, local_tol=local_tol, drift_budget=tol)
+        leg = propagate(config, state, r_level, local_tol=local_tol)
         state = leg.final
         drift_total = max(drift_total, leg.wronskian_drift)
         w_now = wronskian(state, state.conjugate())

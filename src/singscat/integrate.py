@@ -12,7 +12,7 @@ The Wronskian of the solution with its conjugate,
     W[u, u*] = u du* - du u* = -i J[u],
 
 is a conserved quantity (the current, up to a factor).  Its maximum
-relative drift is recorded; if it exceeds a given drift budget the
+relative drift is recorded; if it exceeds the config tolerance the
 propagation retries with a tighter local tolerance before giving up.
 
 Step sizes are additionally capped at a fraction of the local
@@ -243,25 +243,22 @@ def propagate(
     r_target: float,
     *,
     local_tol: float | None = None,
-    drift_budget: float | None = None,
 ) -> Trajectory:
     """Propagate ``init`` from its radius to ``r_target``.
 
     Parameters
     ----------
     config : ValidatedConfig
-        Supplies J(r) and the tolerance ``tol``.
+        Supplies J(r) and the tolerance ``tol``, which also bounds the
+        relative drift of W[u, u*]: a run whose drift exceeds half of it
+        is retried at a 30x tighter local tolerance (three attempts in
+        all).
     init : StateVector
         Starting state; must be finite with r > 0.
     r_target : float
         Final radius (either direction).
     local_tol : float, optional
         Per-step relative error target.  Defaults to tol / 100.
-    drift_budget : float, optional
-        Bound on the relative drift of W[u, u*].  When given, a run
-        whose drift exceeds half the budget is retried at a 30x tighter
-        local tolerance (three attempts in all); without it the drift is
-        only reported.
 
     Raises
     ------
@@ -280,16 +277,14 @@ def propagate(
     rtol = local_tol if local_tol is not None else config.tol / 100.0
     rtol = max(rtol, 4e-15)
 
-    attempts = 3
-    end = stats = drift = None
-    for attempt in range(attempts):
+    for _attempt in range(3):
         end, stats, drift = _run(jfun, init.u, init.du, init.r, r_target, rtol)
-        if drift_budget is None or drift <= 0.5 * drift_budget or rtol <= 4e-15:
+        if drift <= 0.5 * config.tol or rtol <= 4e-15:
             break
         rtol = max(rtol / 30.0, 4e-15)
-    if drift_budget is not None and drift > drift_budget:
+    if drift > config.tol:
         raise DriftExceeded(
-            f"Wronskian drift {drift:.3e} exceeds budget {drift_budget:.3e} "
+            f"Wronskian drift {drift:.3e} exceeds budget {config.tol:.3e} "
             f"(local_tol={rtol:.1e})"
         )
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 from .errors import BadGrid, NonSingular, SubcriticalCoupling
@@ -223,7 +223,7 @@ class ProblemConfig:
             if key != "extra_potential" and not _is_number(value):
                 name = "lambda" if key == "lam" else key
                 raise BadGrid(f"{name} must be a number, got {value!r}")
-        return cls(**d)
+        return ProblemConfig(**d)  # only validate() makes a ValidatedConfig
 
     @classmethod
     def from_json(cls, path: str) -> "ProblemConfig":
@@ -245,64 +245,25 @@ class ProblemConfig:
         }
 
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """A :class:`ProblemConfig` with derived fields populated.
+@dataclass(frozen=True, kw_only=True)
+class ValidatedConfig(ProblemConfig):
+    """A :class:`ProblemConfig` that passed :func:`validate`, with derived
+    fields populated.
 
     ``theta`` is set for p = 2 (theta^2 = lam - 1/4) and ``n_exponent``
-    for p > 2 (n = p - 2).
+    for p > 2 (n = p - 2).  A changed copy must pass :func:`validate`
+    again, as in :meth:`with_mu`, so that these stay derived.
     """
 
-    base: ProblemConfig
     theta: float | None
     n_exponent: float | None
-
-    # convenience pass-throughs used throughout the package
-    @property
-    def p(self) -> float:
-        return self.base.p
-
-    @property
-    def lam(self) -> float:
-        return self.base.lam
-
-    @property
-    def k(self) -> float:
-        return self.base.k
-
-    @property
-    def l_plus_nu(self) -> float:
-        return self.base.l_plus_nu
-
-    @property
-    def mu(self) -> float:
-        return self.base.mu
-
-    @property
-    def extra_potential(self) -> ExtraPotential | None:
-        return self.base.extra_potential
-
-    @property
-    def r_min(self) -> float:
-        return self.base.r_min
-
-    @property
-    def r_max(self) -> float:
-        return self.base.r_max
-
-    @property
-    def tol(self) -> float:
-        return self.base.tol
 
     @property
     def is_conformal(self) -> bool:
         return self.theta is not None
 
-    def j(self, r: float) -> float:
-        return normal_invariant(self, r)
-
     def with_mu(self, mu: float) -> "ValidatedConfig":
-        return validate(replace(self.base, mu=mu))
+        return validate(replace(self, mu=mu))
 
 
 def validate(config: ProblemConfig) -> ValidatedConfig:
@@ -363,7 +324,8 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
                     "(convergent near-origin phase)"
                 )
 
-    return ValidatedConfig(base=config, theta=theta, n_exponent=n_exponent)
+    given = {f.name: getattr(config, f.name) for f in fields(ProblemConfig)}
+    return ValidatedConfig(**given, theta=theta, n_exponent=n_exponent)
 
 
 def normal_invariant(config: ValidatedConfig, r: float) -> float:
@@ -373,24 +335,22 @@ def normal_invariant(config: ValidatedConfig, r: float) -> float:
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    base = config.base
-    j = base.k ** 2 + base.lam * r ** (-base.p)
+    j = config.k ** 2 + config.lam * r ** (-config.p)
     if config.theta is None:
-        cf = base.l_plus_nu ** 2 - 0.25
+        cf = config.l_plus_nu ** 2 - 0.25
         if cf != 0.0:
             j -= cf / (r * r)
-    if base.extra_potential is not None:
-        j -= base.extra_potential.value(r)
+    if config.extra_potential is not None:
+        j -= config.extra_potential.value(r)
     return j
 
 
 def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:
     """Return a fast closure r -> J(r), for use in integration hot loops."""
-    base = config.base
-    k2 = base.k ** 2
-    lam = base.lam
-    p = base.p
-    ep = base.extra_potential
+    k2 = config.k ** 2
+    lam = config.lam
+    p = config.p
+    ep = config.extra_potential
     if config.theta is not None:
         if ep is None:
             def j(r: float) -> float:
@@ -401,7 +361,7 @@ def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:
             def j(r: float) -> float:
                 return k2 + lam / (r * r) - w(r)
     else:
-        cf = base.l_plus_nu ** 2 - 0.25
+        cf = config.l_plus_nu ** 2 - 0.25
         if ep is None:
             def j(r: float) -> float:
                 return k2 + lam * r ** (-p) - cf / (r * r)
@@ -421,17 +381,16 @@ def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[int, float], .
     :func:`asymptotic_tail_residual`.
     """
     terms: dict[int, float] = {}
-    base = config.base
     if config.theta is not None:
-        terms[2] = base.lam  # theta^2 + 1/4
+        terms[2] = config.lam  # theta^2 + 1/4
     else:
-        cf = base.l_plus_nu ** 2 - 0.25
+        cf = config.l_plus_nu ** 2 - 0.25
         if cf != 0.0:
             terms[2] = -cf
-        if _is_integerish(base.p):
-            terms[int(round(base.p))] = terms.get(int(round(base.p)), 0.0) + base.lam
-    if base.extra_potential is not None:
-        it = base.extra_potential.integer_tail_term()
+        if _is_integerish(config.p):
+            terms[int(round(config.p))] = terms.get(int(round(config.p)), 0.0) + config.lam
+    if config.extra_potential is not None:
+        it = config.extra_potential.integer_tail_term()
         if it is not None:
             m, g = it
             terms[m] = terms.get(m, 0.0) + g
@@ -442,20 +401,18 @@ def core_tail_residual(config: ValidatedConfig, r: float) -> float:
     """Phase-error bound at radius r of the core term lambda r^(-p) when p
     is not an integer, so that the far-field series cannot represent it;
     zero otherwise.  It decays only like r^(1-p)."""
-    base = config.base
-    if config.theta is not None or _is_integerish(base.p):
+    if config.theta is not None or _is_integerish(config.p):
         return 0.0
-    return base.lam * r ** (1.0 - base.p) / (2.0 * base.k * (base.p - 1.0))
+    return config.lam * r ** (1.0 - config.p) / (2.0 * config.k * (config.p - 1.0))
 
 
 def asymptotic_tail_residual(config: ValidatedConfig, r: float) -> float:
     """Phase-error bound at radius r from parts of J - k^2 that the
     integer-exponent correction series cannot represent."""
-    base = config.base
     est = core_tail_residual(config, r)
-    ep = base.extra_potential
+    ep = config.extra_potential
     if ep is not None and ep.integer_tail_term() is None:
-        est += ep.tail_integral(r) / (2.0 * base.k)
+        est += ep.tail_integral(r) / (2.0 * config.k)
     return est
 
 
@@ -545,13 +502,12 @@ def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
     :func:`origin_perturbation`; a Gaussian barrier, not a power law,
     still enters as its uncorrected phase.
     """
-    base = config.base
     if config.theta is not None:
-        root = math.sqrt(base.lam)
-        est = base.k ** 2 * r * r / (4.0 * root)
+        root = math.sqrt(config.lam)
+        est = config.k ** 2 * r * r / (4.0 * root)
     else:
         est = origin_perturbation(config, r).remainder
-    ep = base.extra_potential
+    ep = config.extra_potential
     if ep is not None and ep.power_term() is None:
-        est += ep.origin_phase(r, base.lam, base.p)
+        est += ep.origin_phase(r, config.lam, config.p)
     return est

@@ -70,6 +70,16 @@ class TestSolve:
         assert err.startswith("AsymptoticRegionTooClose:")
         assert f"non-integer p = {p:g}" in err and "r^(1-p)" in err
 
+    def test_centrifugal_term_beyond_float_range_named(self, tmp_path, capsys):
+        # p just above 2 with a centrifugal term that beats the core at
+        # r = 1: the core-dominated region ends below the smallest float
+        path = write_config(tmp_path, "near2.json", p=2.0001, l_plus_nu=1.0, tol=1e-8)
+        assert main(["solve", "--config", path, "--output", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SingularRegionTooFar:")
+        assert "centrifugal" in err and "p = 2.0001" in err
+        assert err.count("\n") == 1
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": 2.0, "lambda": 1.25}))  # k missing

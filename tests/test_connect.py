@@ -7,7 +7,6 @@ import pytest
 from singscat import (
     OMEGA_INFINITY,
     ProblemConfig,
-    StateVector,
     TransferMatrix,
     blaschke_params,
     eval_asymptotic,
@@ -19,8 +18,9 @@ from singscat import (
     transfer_matrix,
     validate,
 )
+from singscat import connect
 from singscat.connect import TransferResiduals, _global_error, _project
-from singscat.errors import DegenerateTransmission, PoleProximity
+from singscat.errors import DegenerateTransmission, NoStabilization, PoleProximity
 from singscat.model import singularity_phase_error
 from tests.conftest import isp_config
 
@@ -44,9 +44,8 @@ class TestProjection:
     def test_basis_members_project_to_unit_vectors(self):
         cfg = isp_config(1.0)
         r = 150.0
-        pair = eval_asymptotic(cfg, r)
-        one = StateVector(r, pair.first.u, pair.first.du)
-        two = StateVector(r, pair.second.u, pair.second.du)
+        one = eval_asymptotic(cfg, r).state
+        two = one.conjugate()
         c1, c2 = _project(cfg, one)
         assert c1 == pytest.approx(1.0, abs=1e-12)
         assert c2 == pytest.approx(0.0, abs=1e-12)
@@ -219,6 +218,33 @@ class TestStabilization:
         turn = cmath.exp(1e-6j)
         rotated = dataclasses.replace(m, a=m.a * turn, b=m.b * turn)
         assert _global_error(sol.config, rotated) > 100.0 * tol
+
+    def test_noise_plateau_restarts_at_tighter_local_tol(self, monkeypatch):
+        # a sweep whose level differences plateau at the integration noise
+        # is run once more at 1/30 of the per-step tolerance
+        cfg = isp_config(1.0, tol=1e-8)
+        sweep = connect._extract_levels
+        local_tols = []
+
+        def plateau_once(config, *, local_tol):
+            local_tols.append(local_tol)
+            if len(local_tols) == 1:
+                raise connect._NoisePlateau
+            return sweep(config, local_tol=local_tol)
+
+        monkeypatch.setattr(connect, "_extract_levels", plateau_once)
+        m = transfer_matrix(cfg)
+        assert local_tols == [cfg.tol / 2000.0, cfg.tol / 2000.0 / 30.0]
+        assert m.residuals.local_tol == cfg.tol / 2000.0 / 30.0
+        assert m.residuals.stabilization_diff < cfg.tol
+
+    def test_persistent_noise_plateau_fails(self, monkeypatch):
+        def plateau(config, *, local_tol):
+            raise connect._NoisePlateau
+
+        monkeypatch.setattr(connect, "_extract_levels", plateau)
+        with pytest.raises(NoStabilization, match="integration noise"):
+            transfer_matrix(isp_config(1.0, tol=1e-8))
 
 
 class TestGenericExponent:

@@ -49,9 +49,8 @@ def test_radius_mismatch_rejected():
 
 def test_currents_of_far_basis():
     cfg = isp_config(1.0)
-    pair = eval_asymptotic(cfg, 1e6)
-    one = StateVector(pair.first.r, pair.first.u, pair.first.du)
-    two = StateVector(pair.second.r, pair.second.u, pair.second.du)
+    one = eval_asymptotic(cfg, 1e6).state
+    two = one.conjugate()
     assert current(one).real == pytest.approx(2.0, abs=1e-10)
     assert current(two).real == pytest.approx(-2.0, abs=1e-10)
     assert abs(current(one).imag) < 1e-12

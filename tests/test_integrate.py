@@ -27,8 +27,7 @@ def test_free_wave_is_exact():
 
 def test_conformal_matches_bessel_oracle():
     cfg = isp_config(1.0, tol=1e-8)
-    pair = eval_singularity(cfg, 1e-4)
-    init = StateVector(pair.first.r, pair.first.u, pair.first.du)
+    init = eval_singularity(cfg, 1e-4).state
     traj = propagate(cfg, init, 1.0)
     assert abs(traj.final.u - U_EXACT_R1) < 10.0 * cfg.tol
 
@@ -36,8 +35,7 @@ def test_conformal_matches_bessel_oracle():
 def test_wronskian_drift_small_at_tight_tol():
     cfg = isp_config(1.0)
     r0 = 1e-5
-    pair = eval_singularity(cfg, r0)
-    plus = StateVector(r0, pair.first.u, pair.first.du)
+    plus = eval_singularity(cfg, r0).state
     traj = propagate(cfg, plus, 60.0)
     assert traj.wronskian_drift < 1e-9
     # W[u, u*] is -2i up to truncation of the initial basis
@@ -47,9 +45,8 @@ def test_wronskian_drift_small_at_tight_tol():
 
 def test_linearity_of_propagation():
     cfg = isp_config(0.5)
-    pair = eval_singularity(cfg, 1e-5)
-    a = StateVector(1e-5, pair.first.u, pair.first.du)
-    b = StateVector(1e-5, pair.second.u, pair.second.du)
+    a = eval_singularity(cfg, 1e-5).state
+    b = a.conjugate()
     al, be = 0.3 - 1.1j, 0.8 + 0.25j
     mix = StateVector(1e-5, al * a.u + be * b.u, al * a.du + be * b.du)
     fa = propagate(cfg, a, 5.0).final
@@ -62,8 +59,7 @@ def test_linearity_of_propagation():
 
 def test_time_reversal_symmetry():
     cfg = isp_config(1.0)
-    pair = eval_singularity(cfg, 1e-5)
-    init = StateVector(1e-5, pair.first.u, pair.first.du)
+    init = eval_singularity(cfg, 1e-5).state
     conj_init = StateVector(1e-5, init.u.conjugate(), init.du.conjugate())
     f = propagate(cfg, init, 3.0).final
     g = propagate(cfg, conj_init, 3.0).final
@@ -91,8 +87,7 @@ def test_pair_wronskian_constant_along_route():
     # W[u, u*] at each end stays within 10 tol of its start, and within
     # the leg's own drift monitor, the maximum over its accepted steps
     cfg = isp_config(2.0)
-    pair = eval_singularity(cfg, 2e-6)
-    plus = StateVector(2e-6, pair.first.u, pair.first.du)
+    plus = eval_singularity(cfg, 2e-6).state
     w0 = wronskian(plus, plus.conjugate())
     for r_end in (1e-3, 0.1, 1.0, 10.0, 30.0):
         traj = propagate(cfg, plus, r_end)
@@ -104,8 +99,19 @@ def test_pair_wronskian_constant_along_route():
 
 
 def test_tiny_drift_budget_raises():
-    cfg = isp_config(1.0, tol=1e-6)
-    pair = eval_singularity(cfg, 1e-4)
-    init = StateVector(1e-4, pair.first.u, pair.first.du)
+    # the drift budget is tol itself; at tol 1e-18 even the local_tol
+    # floor 4e-15 cannot meet it
+    cfg = isp_config(1.0, tol=1e-18)
+    init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
     with pytest.raises(DriftExceeded):
-        propagate(cfg, init, 5.0, drift_budget=1e-18)
+        propagate(cfg, init, 5.0)
+
+
+def test_drift_retry_tightens_local_tol():
+    # local_tol 1e-8 drifts past tol / 2 = 5e-11; two 30x tighter
+    # retries bring the drift within tol
+    cfg = isp_config(1.0)
+    init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
+    traj = propagate(cfg, init, 5.0, local_tol=1e-8)
+    assert traj.local_tol == pytest.approx(1e-8 / 900.0, rel=1e-12)
+    assert traj.wronskian_drift <= cfg.tol

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from singscat import ExtraPotential, ProblemConfig, normal_invariant, validate
+from singscat import ExtraPotential, ProblemConfig, ValidatedConfig, normal_invariant, validate
 from singscat.errors import BadGrid, NonSingular, SubcriticalCoupling
 from singscat.model import invariant_callable
 
@@ -152,6 +152,17 @@ class TestConfigSerialization:
         cfg = ProblemConfig.from_dict(d)
         assert cfg.lam == 1.5
         assert cfg.to_dict() == d
+
+    def test_only_validate_makes_a_validated_config(self):
+        d = {"p": 4.0, "lambda": 1.5, "k": 0.9, "l_plus_nu": 0.5}
+        assert type(ValidatedConfig.from_dict(d)) is ProblemConfig
+        cfg = validate(ProblemConfig.from_dict(d))
+        assert isinstance(cfg, ProblemConfig)
+        assert (cfg.lam, cfg.n_exponent, cfg.theta) == (1.5, 2.0, None)
+        assert cfg.to_dict() == ProblemConfig.from_dict(d).to_dict()
+        moved = cfg.with_mu(2.0)
+        assert type(moved) is ValidatedConfig
+        assert (moved.mu, moved.n_exponent) == (2.0, 2.0)
 
     def test_unknown_and_missing_fields(self):
         with pytest.raises(BadGrid):
