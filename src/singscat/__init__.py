@@ -15,7 +15,6 @@ from .bases import (
     choose_r_min,
     eval_asymptotic,
     eval_singularity,
-    wkb_reference,
 )
 from .connect import (
     OMEGA_INFINITY,
@@ -30,7 +29,7 @@ from .connect import (
     scattering_coefficients,
     transfer_matrix,
 )
-from .currents import coefficient_balance, current, wronskian
+from .currents import current, wronskian
 from .disk import (
     BlaschkeProduct,
     MobiusFit,
@@ -77,7 +76,6 @@ __all__ = [
     "cauchy_reconstruct",
     "choose_r_max_start",
     "choose_r_min",
-    "coefficient_balance",
     "complex_gamma",
     "current",
     "eval_asymptotic",
@@ -94,6 +92,5 @@ __all__ = [
     "scattering_coefficients",
     "transfer_matrix",
     "validate",
-    "wkb_reference",
     "wronskian",
 ]

@@ -39,17 +39,15 @@ import cmath
 import math
 from typing import NamedTuple
 
-from scipy.integrate import quad
 from scipy.special import hankel2
 
-from .errors import AsymptoticRegionTooClose, SingularRegionTooFar, TurningPoint
+from .errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from .integrate import StateVector
 from .model import (
     ValidatedConfig,
     asymptotic_tail_residual,
     asymptotic_tail_terms,
     core_tail_residual,
-    normal_invariant,
     origin_perturbation,
     origin_power_terms,
     singularity_phase_error,
@@ -59,7 +57,6 @@ __all__ = [
     "BasisSample",
     "eval_asymptotic",
     "eval_singularity",
-    "wkb_reference",
     "choose_r_min",
     "r_min_cap",
     "choose_r_max_start",
@@ -188,38 +185,6 @@ def eval_singularity(
     return BasisSample(StateVector(r, u, du), est)
 
 
-def wkb_reference(
-    config: ValidatedConfig, r: float, r_ref: float
-) -> tuple[float, float]:
-    """First-order WKB data: amplitude J(r)^(-1/4) and phase
-    integral of sqrt(J) from r_ref to r (adaptive quadrature).
-
-    Raises :class:`TurningPoint` if J is not strictly positive on the
-    interval; connection through turning points is out of scope.
-    """
-    if r <= 0.0 or r_ref <= 0.0:
-        raise ValueError("radii must be positive")
-    lo, hi = min(r, r_ref), max(r, r_ref)
-    # geometric probe grid catches sign changes of J before quadrature
-    nprobe = 64
-    ratio = (hi / lo) ** (1.0 / (nprobe - 1))
-    x = lo
-    for _ in range(nprobe):
-        if normal_invariant(config, x) <= 0.0:
-            raise TurningPoint(f"J(r) <= 0 at r={x}")
-        x *= ratio
-
-    def integrand(t: float) -> float:
-        j = normal_invariant(config, t)
-        if j <= 0.0:
-            raise TurningPoint(f"J(r) <= 0 at r={t}")
-        return math.sqrt(j)
-
-    phase, _ = quad(integrand, r_ref, r, epsabs=0.0, epsrel=min(1e-11, config.tol), limit=500)
-    amplitude = normal_invariant(config, r) ** (-0.25)
-    return amplitude, phase
-
-
 def r_min_cap(config: ValidatedConfig) -> float:
     """Upper end of the inner-radius search: half of ``config.r_max``,
     and inside the core-dominated region, where each of the n other terms
@@ -255,6 +220,42 @@ def r_min_cap(config: ValidatedConfig) -> float:
     return cap
 
 
+def _edge(ok, start: float, step: float, limit: float, tries: int) -> float | None:
+    """Edge of the region of radii where ``ok`` holds, searched from ``start``.
+
+    Where ``ok`` holds at ``start``, the radius is multiplied by ``step``
+    while it keeps holding, up to ``limit``; otherwise it is divided by
+    ``step`` until it holds, at most ``tries`` times (None if it never
+    does).  The last bracket is then bisected geometrically, and its end
+    where ``ok`` holds is returned.
+    """
+    clamp = min if step > 1.0 else max
+    good = bad = start
+    if ok(good):
+        while good != limit:
+            bad = clamp(good * step, limit)
+            if not ok(bad):
+                break
+            good = bad
+        else:
+            return limit
+    else:
+        for _ in range(tries):
+            bad = good
+            good /= step
+            if ok(good):
+                break
+        else:
+            return None
+    for _ in range(8):
+        mid = math.sqrt(good * bad)
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def choose_r_min(config: ValidatedConfig) -> float:
     """Largest radius up to :func:`r_min_cap` where the near-origin basis
     meets ``0.1 * tol``, searched from ``config.r_min``.
@@ -268,48 +269,36 @@ def choose_r_min(config: ValidatedConfig) -> float:
     """
     target = _TRUNC_SHARE * config.tol
     cap = r_min_cap(config)
-    lo = hi = min(config.r_min, cap)
-    if singularity_phase_error(config, lo) <= target:
-        while lo < cap:
-            hi = min(2.0 * lo, cap)
-            if singularity_phase_error(config, hi) > target:
-                break
-            lo = hi
-        else:
-            return cap
-    else:
-        for _ in range(400):
-            hi = lo
-            lo *= 0.5
-            if singularity_phase_error(config, lo) <= target:
-                break
-        else:
-            raise SingularRegionTooFar(
-                f"could not reach truncation {target:.1e} by shrinking r_min "
-                f"(reached r={lo:.3e})"
-            )
-    for _ in range(8):
-        mid = math.sqrt(lo * hi)
-        if singularity_phase_error(config, mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    start = min(config.r_min, cap)
+    r = _edge(lambda x: singularity_phase_error(config, x) <= target, start, 2.0, cap, 400)
+    if r is None:
+        raise SingularRegionTooFar(
+            f"could not reach truncation {target:.1e} by shrinking r_min "
+            f"(reached r={start * 0.5 ** 400:.3e})"
+        )
+    return r
 
 
 def choose_r_max_start(config: ValidatedConfig) -> float:
-    """Smallest doubling of config.r_max where the far-field series meets
-    ``0.1 * tol`` and any barrier term has decayed away."""
+    """Smallest radius, down to twice :func:`r_min_cap`, where the
+    far-field truncation estimate meets ``0.1 * tol``, searched from
+    ``config.r_max``; the estimate includes a Gaussian barrier's tail.
+
+    ``config.r_max`` is a starting point, as ``config.r_min`` is for
+    :func:`choose_r_min`: where the estimate holds there, the radius is
+    halved while it keeps holding; otherwise it is doubled until it does.
+    The last bracket is then bisected geometrically.  Any radius past the
+    one the basis needs is propagated at a cost and gives no accuracy
+    back.  The floor keeps the far basis out of the core-dominated region
+    and ``r_max`` above ``r_min``.
+    """
     target = _TRUNC_SHARE * config.tol
-    r = config.r_max
-    ep = config.extra_potential
-    for _ in range(16):
-        clear = True
-        if ep is not None and ep.name == "gaussian_barrier":
-            clear = ep.tail_integral(r) / (2.0 * config.k) <= target
-        if clear and eval_asymptotic(config, r, raise_on_error=False).trunc_error <= target:
-            return r
-        r *= 2.0
+    floor = 2.0 * r_min_cap(config)
+    r = _edge(lambda x: eval_asymptotic(config, x, raise_on_error=False).trunc_error <= target,
+              config.r_max, 0.5, floor, 15)
+    if r is not None:
+        return r
+    r = config.r_max * 2.0 ** 15
     msg = f"far-field truncation still above {target:.1e} at r={r:.3e}"
     if core_tail_residual(config, r) > target:
         msg += (

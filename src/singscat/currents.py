@@ -14,10 +14,10 @@ is a conserved quantity and serves as the primary accuracy monitor.
 
 from __future__ import annotations
 
-from .errors import BalanceViolation, RadiusMismatch
+from .errors import RadiusMismatch
 from .integrate import StateVector
 
-__all__ = ["wronskian", "current", "coefficient_balance"]
+__all__ = ["wronskian", "current"]
 
 
 def _check_same_radius(f: StateVector, g: StateVector) -> None:
@@ -40,22 +40,3 @@ def current(u: StateVector, v: StateVector | None = None) -> complex:
         v = u
     _check_same_radius(u, v)
     return (u.u.conjugate() * v.du - u.du.conjugate() * v.u) / 1j
-
-
-def coefficient_balance(
-    c1: complex, c2: complex, cp: complex, cm: complex, tol: float = 1e-8
-) -> float:
-    """Common value of |c1|^2 - |c2|^2 and |cp|^2 - |cm|^2.
-
-    Both expressions equal half the conserved current of one solution
-    resolved in the far-field and near-origin bases respectively; their
-    disagreement beyond ``tol`` signals an integration or matching error.
-    """
-    d_far = abs(c1) ** 2 - abs(c2) ** 2
-    d_near = abs(cp) ** 2 - abs(cm) ** 2
-    scale = max(1.0, abs(d_far), abs(d_near))
-    if abs(d_far - d_near) > tol * scale:
-        raise BalanceViolation(
-            f"coefficient balance mismatch: {d_far!r} (far) vs {d_near!r} (near)"
-        )
-    return 0.5 * (d_far + d_near)

@@ -85,34 +85,9 @@ class UnitaryFamilySample:
     def __len__(self) -> int:
         return len(self.chis)
 
-    def max_modulus_defect(self) -> float:
-        return max(abs(abs(v) - 1.0) for v in self.values)
-
     def halved(self) -> "UnitaryFamilySample":
         """Subsample keeping every second node (still uniform)."""
         return UnitaryFamilySample(self.chis[::2], self.values[::2])
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("chi,re_s,im_s\n")
-            for chi, v in zip(self.chis, self.values):
-                fh.write(f"{chi:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "UnitaryFamilySample":
-        chis: list[float] = []
-        values: list[complex] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith("chi"):
-                raise ValueError("expected header 'chi,re_s,im_s'")
-            for line in fh:
-                if not line.strip():
-                    continue
-                chi, re, im = line.split(",")
-                chis.append(float(chi))
-                values.append(complex(float(re), float(im)))
-        return cls(tuple(chis), tuple(values))
 
     @classmethod
     def uniform_grid(cls, n: int, evaluator) -> "UnitaryFamilySample":

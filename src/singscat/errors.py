@@ -40,18 +40,10 @@ class SingularRegionTooFar(SingscatError):
     """Near-origin basis truncation error exceeds the requested tolerance."""
 
 
-class TurningPoint(SingscatError):
-    """The invariant J(r) changes sign inside a WKB quadrature interval."""
-
-
 # ------------------------------------------------------------------ currents
 
 class RadiusMismatch(SingscatError):
     """Wronskian/current requested for states at different radii."""
-
-
-class BalanceViolation(SingscatError):
-    """The two coefficient balances of one solution disagree beyond tol."""
 
 
 # ----------------------------------------------------------------- integrate

@@ -184,8 +184,9 @@ class ProblemConfig:
     extra_potential : ExtraPotential or None
         Optional smooth short-range term W(r).
     r_min, r_max : float
-        Initial matching radii.  The connection machinery may shrink
-        r_min and extend r_max to meet ``tol``.
+        Starting points of the matching-radius searches, which move each
+        radius either way: r_min to the largest radius, and r_max to the
+        smallest, where the basis there meets ``0.1 tol``.
     tol : float
         Relative tolerance driving every numerical stage.
     """

@@ -11,10 +11,9 @@ from singscat import (
     eval_singularity,
     normal_invariant,
     validate,
-    wkb_reference,
 )
 from singscat.bases import choose_r_max_start, choose_r_min, r_min_cap
-from singscat.errors import AsymptoticRegionTooClose, SingularRegionTooFar, TurningPoint
+from singscat.errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from singscat.model import origin_perturbation, singularity_phase_error
 from tests.conftest import barrier_config, isp_config, quartic_config
 
@@ -176,38 +175,14 @@ class TestSingularity:
             eval_singularity(isp_config(1.0), 1.0)
 
 
-class TestWkbReference:
-    def test_constant_invariant_exact(self):
-        free = validate(ProblemConfig(p=4.0, lam=1e-30, k=2.0, l_plus_nu=0.5))
-        amp, phase = wkb_reference(free, 7.0, 3.0)
-        assert amp == pytest.approx(2.0 ** -0.5, rel=1e-12)
-        assert phase == pytest.approx(2.0 * 4.0, rel=1e-10)
-
-    def test_conformal_log_phase(self):
-        # deep inside the conformal region the phase grows like
-        # sqrt(lam) * ln(r / r_ref); for large theta this approaches the
-        # exponent rate theta of the basis itself
-        th = 10.0
-        cfg = isp_config(th)
-        amp, phase = wkb_reference(cfg, 1e-4, 1e-6)
-        want = math.sqrt(th * th + 0.25) * math.log(1e-4 / 1e-6)
-        assert phase == pytest.approx(want, rel=1e-6)
-        assert phase == pytest.approx(th * math.log(1e-4 / 1e-6), rel=2e-3)
-
-    def test_quartic_phase_matches_exponent(self):
-        # exponent of the near-origin basis is -i sqrt(lam)/r for p = 4
-        amp, phase = wkb_reference(QUARTIC, 1e-3, 1e-4)
-        assert phase == pytest.approx(-(1e3 - 1e4), rel=1e-6)
-
-    def test_turning_point_rejected(self):
-        with pytest.raises(TurningPoint):
-            wkb_reference(barrier_config(), 6.0, 1.0)
-
-
 class TestRegionSelection:
     # p = 3 with a large centrifugal term at loose tol: the core-dominated
     # cap, not the estimate, ends the outward search
     CAPPED = validate(ProblemConfig(p=3.0, lam=1.0, k=0.5, l_plus_nu=5.0, tol=1e-2))
+    # p = 2 at small k: the far series is too coarse at config.r_max
+    OUTWARD = validate(ProblemConfig(p=2.0, lam=4.25, k=0.3, tol=1e-10))
+    # a weak, steep core at loose tol: the far series holds down to the floor
+    FLOORED = validate(ProblemConfig(p=10.0, lam=1e-6, k=2.0, l_plus_nu=0.5, tol=1e-3))
 
     def test_choose_r_min_meets_target(self):
         # the estimate holds at r and fails just above it, unless the cap
@@ -227,8 +202,22 @@ class TestRegionSelection:
         assert choose_r_min(self.CAPPED) == r_min_cap(self.CAPPED) < 0.5 * self.CAPPED.r_max
 
     def test_choose_r_max_meets_target(self):
-        for cfg in (isp_config(2.0), QUARTIC, barrier_config()):
+        # the far-field estimate (which includes the Gaussian barrier's
+        # tail) holds at r and fails just below it, unless the floor
+        # 2 r_min_cap is reached; the bisection resolves the crossing as
+        # finely as choose_r_min's.  FLOORED stops at that floor.
+        for cfg in (isp_config(2.0), QUARTIC, barrier_config(), self.OUTWARD, self.FLOORED):
             r = choose_r_max_start(cfg)
-            assert r >= cfg.r_max
-            pair = eval_asymptotic(cfg, r, raise_on_error=False)
-            assert pair.trunc_error <= 0.1 * cfg.tol
+            target = 0.1 * cfg.tol
+            assert eval_asymptotic(cfg, r, raise_on_error=False).trunc_error <= target
+            if r > 2.0 * r_min_cap(cfg):
+                assert eval_asymptotic(cfg, r / 1.003, raise_on_error=False).trunc_error > target
+        assert choose_r_max_start(self.FLOORED) == 2.0 * r_min_cap(self.FLOORED)
+
+    def test_r_max_is_searched_inward(self):
+        # config.r_max = 60 is a starting point: where the far series is
+        # accurate there, the search moves inward; where it is not (slow
+        # 1/(k r) convergence at k = 0.3), it still moves outward
+        for cfg in (QUARTIC, isp_config(1.0)):
+            assert choose_r_max_start(cfg) < cfg.r_max
+        assert choose_r_max_start(self.OUTWARD) > self.OUTWARD.r_max

@@ -302,3 +302,17 @@ class TestGenericExponent:
         assert max(da, db) <= cfg.tol
         assert m.residuals.r_min_used > cfg.r_min
         assert singularity_phase_error(cfg, m.residuals.r_min_used) >= da
+
+    @pytest.mark.parametrize(
+        "p, lam, k", [(4.0, 1.0, 10.0), (6.0, 0.01, 20.0)], ids=["p4-k10", "p6-k20"]
+    )
+    def test_loose_tol_large_k_matches_close_in(self, p, lam, k):
+        # at tol 1e-3 and large k the far series is accurate well inside
+        # r = 1, so both matching radii sit close to the core; the far one
+        # stays outside the near one, and the result agrees with a
+        # tighter extraction within tol
+        base = ProblemConfig(p=p, lam=lam, k=k, l_plus_nu=0.5, tol=1e-3)
+        m = transfer_matrix(validate(base))
+        ref = transfer_matrix(validate(dataclasses.replace(base, tol=1e-8)))
+        assert m.residuals.r_min_used < m.residuals.r_max_used < 2.0
+        assert max(abs(m.a - ref.a), abs(m.b - ref.b)) <= base.tol

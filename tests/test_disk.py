@@ -139,7 +139,7 @@ class TestCauchyReconstruct:
         self.samples = UnitaryFamilySample.uniform_grid(128, self.f)
 
     def test_boundary_samples_unimodular(self):
-        assert self.samples.max_modulus_defect() < 1e-13
+        assert max(abs(abs(v) - 1.0) for v in self.samples.values) < 1e-13
 
     def test_interior_point_matches_direct(self):
         om = 0.5 + 0.2j
@@ -188,14 +188,6 @@ class TestAbsorptionAverage:
 
 
 class TestSampleContainer:
-    def test_csv_round_trip(self, tmp_path):
-        s = UnitaryFamilySample.uniform_grid(8, mobius(*normalized_pair(0.2, 0.0, 0.5)))
-        path = tmp_path / "samples.csv"
-        s.to_csv(str(path))
-        back = UnitaryFamilySample.from_csv(str(path))
-        assert back.chis == s.chis
-        assert back.values == s.values
-
     def test_validation(self):
         with pytest.raises(ValueError):
             UnitaryFamilySample((0.0, 1.0), (1.0,))

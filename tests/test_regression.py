@@ -6,9 +6,10 @@ three k, each checked to ``tol * max(1, |a|)``: the scale of the
 stabilization level differences and of ``verify``'s global error, equal
 to ``tol`` except for ``degenerate_barrier`` (|a| ~ 4150), whose golden
 comes from a tol-1e-7 extraction.  The quartic inner-leg step count pins
-the step control and the inner-radius choice: a change to the error
-norm, the step size policy, the wavelength cap or the near-origin error
-bound moves it.
+the step control and both matching-radius choices (the leg runs from
+``choose_r_min`` to ``choose_r_max_start``): a change to the error norm,
+the step size policy, the wavelength cap, the near-origin error bound or
+the far-field truncation estimate moves it.
 """
 
 from pathlib import Path
@@ -38,7 +39,7 @@ GOLDEN = {
     "core_k2.3": (complex(-0.46636959369283554, -0.8899906792588773),
                   complex(0.06922429852047186, -0.06922429847465615)),
 }
-QUARTIC_INNER_STEPS = 17086
+QUARTIC_INNER_STEPS = 15823
 
 
 def _config(name: str):
