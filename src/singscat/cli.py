@@ -117,6 +117,11 @@ def _parse_omega(s: str) -> complex:
     return complex(float(re), float(im))
 
 
+def _require_at_least(what: str, value: int, least: int) -> None:
+    if value < least:
+        raise BadGrid(f"{what} must be >= {least}, got {value}")
+
+
 # ------------------------------------------------------------------- solve
 
 def _solve_report(config: ValidatedConfig) -> tuple[dict, tuple]:
@@ -188,6 +193,7 @@ def cmd_solve(args) -> int:
 
 def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
     start, stop, count = args.grid
+    _require_at_least("grid COUNT", count, 1)
     rows = []
     if args.axis == "omega":
         m = connect.transfer_matrix(config)
@@ -233,8 +239,7 @@ def cmd_sweep(args) -> int:
 # ------------------------------------------------------------- reconstruct
 
 def cmd_reconstruct(args) -> int:
-    if args.nodes < 8:
-        raise BadGrid(f"nodes must be >= 8, got {args.nodes}")
+    _require_at_least("nodes", args.nodes, 8)
     config = validate(ProblemConfig.from_json(args.config))
     m = connect.transfer_matrix(config)
     samples = disk.UnitaryFamilySample.uniform_grid(
@@ -263,6 +268,7 @@ def cmd_reconstruct(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def cmd_verify(args) -> int:
+    _require_at_least("nodes", args.nodes, 8)
     config = validate(ProblemConfig.from_json(args.config))
     report, (m, coeffs, smap) = _solve_report(config)
     checks = list(report["checks"])

@@ -111,56 +111,50 @@ class MobiusFit:
         return (self.a * omega + self.b) / (self.b.conjugate() * omega + self.a.conjugate())
 
 
-def _sample_pairs(samples) -> list[tuple[complex, complex]]:
-    if isinstance(samples, UnitaryFamilySample):
-        return [
-            (cmath.exp(1j * chi), v) for chi, v in zip(samples.chis, samples.values)
-        ]
-    return [(complex(o), complex(v)) for o, v in samples]
-
-
 def fit_mobius(samples) -> MobiusFit:
     """Least-squares Moebius recovery from >= 3 samples (Omega_i, S_i).
 
     Solves the linearized relation S_i (b* Omega_i + a*) = a Omega_i + b
-    over the four real parameters via SVD, then enforces the hyperbolic
-    normalization.  Raises :class:`RankDeficient` when the samples do
-    not determine the map, e.g. for a constant (degenerate) family; the
-    exception then carries the constant value.
+    over the four real parameters via a thin SVD of the 2N x 4 system
+    (O(N) time and memory), then enforces the hyperbolic normalization.
+    Raises :class:`RankDeficient` when the samples do not determine the
+    map, e.g. for a constant (degenerate) family; the exception then
+    carries the constant value.
     """
-    pairs = _sample_pairs(samples)
-    if len(pairs) < 3:
+    if isinstance(samples, UnitaryFamilySample):
+        omegas = np.exp(1j * np.asarray(samples.chis))
+        values = np.asarray(samples.values, dtype=complex)
+    else:
+        pairs = [(om, sv) for om, sv in samples]  # unpacking rejects malformed samples
+        omegas, values = np.array(pairs, dtype=complex).reshape(-1, 2).T
+    if len(omegas) < 3:
         raise ValueError("need at least 3 samples in general position")
 
     # unknowns x = (Re a, Im a, Re b, Im b); each sample yields the
     # complex row  a*Omega - S*a_conj + b - S*b_conj*Omega = 0
-    rows = np.empty((2 * len(pairs), 4), dtype=float)
-    for i, (om, sv) in enumerate(pairs):
-        row = np.array(
-            [om - sv, 1j * (om + sv), 1.0 - sv * om, 1j * (1.0 + sv * om)],
-            dtype=complex,
-        )
-        rows[2 * i] = row.real
-        rows[2 * i + 1] = row.imag
-
-    _, singvals, vt = np.linalg.svd(rows)
+    prod = values * omegas
+    rows = np.stack(
+        [omegas - values, 1j * (omegas + values), 1.0 - prod, 1j * (1.0 + prod)], axis=1
+    )
+    # the normal equations would square the condition number; the thin
+    # SVD never forms the 2N x 2N left factor
+    _, _, vt = np.linalg.svd(np.vstack((rows.real, rows.imag)), full_matrices=False)
     x = vt[-1]
     a = complex(x[0], x[1])
     b = complex(x[2], x[3])
     norm2 = abs(a) ** 2 - abs(b) ** 2
     total = abs(a) ** 2 + abs(b) ** 2
     if norm2 <= 1e-6 * total:
-        constant = sum(v for _, v in pairs) / len(pairs)
         raise RankDeficient(
-            "samples consistent with a constant (degenerate) map", constant_value=constant
+            "samples consistent with a constant (degenerate) map",
+            constant_value=complex(values.mean()),
         )
     scale = 1.0 / math.sqrt(norm2)
     a *= scale
     b *= scale
     if a.real < 0.0 or (a.real == 0.0 and a.imag < 0.0):
         a, b = -a, -b
-    fit = MobiusFit(a=a, b=b, residual=0.0)
-    resid = max(abs(fit.evaluate(om) - sv) for om, sv in pairs)
+    resid = float(np.max(np.abs(MobiusFit(a, b, 0.0).evaluate(omegas) - values)))
     return MobiusFit(a=a, b=b, residual=resid)
 
 

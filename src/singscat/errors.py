@@ -26,8 +26,8 @@ class BadGrid(SingscatError):
     """Invalid configuration value: a config field that is unknown,
     missing, not a finite number or out of range (p < 2, k or tol <= 0,
     radii not ordered as 0 < r_min < r_max, ...), an invalid
-    extra_potential, or a command-line node count or sweep axis that the
-    config cannot take."""
+    extra_potential, a command-line node or grid count out of range, or a
+    sweep axis that the config cannot take."""
 
 
 # --------------------------------------------------------------------- bases

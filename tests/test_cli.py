@@ -256,8 +256,28 @@ class TestReconstruct:
             diffs.append(float(row[6]))
         assert diffs[1] < diffs[0] or diffs[1] < 1e-13
 
-    def test_too_few_nodes_rejected(self, isp_config_path):
-        assert main(["reconstruct", "--config", isp_config_path, "--nodes", "4", "--output", "-"]) == 2
+
+class TestBadCounts:
+    @pytest.mark.parametrize("nodes", [1, 4, 7])
+    @pytest.mark.parametrize("command", ["reconstruct", "verify"])
+    def test_too_few_nodes_exit_2(self, isp_config_path, capsys, command, nodes):
+        # bad input, not a numerical failure: a typed BadGrid and exit 2
+        assert main([command, "--config", isp_config_path, "--nodes", str(nodes)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("BadGrid: nodes must be >= 8")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "axis,grid", [("omega", "0:1:0"), ("k", "0.5:1:-2"), ("theta", "0.5:1:0")]
+    )
+    def test_empty_sweep_grid_exit_2(self, isp_config_path, tmp_path, capsys, axis, grid):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", "--config", isp_config_path, "--axis", axis, "--grid", grid,
+             "--output", str(out)]
+        ) == 2
+        assert capsys.readouterr().err.startswith("BadGrid: grid COUNT must be >= 1")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,40 @@ class TestFitMobius:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_mobius([(0.1, 0.2), (0.3, 0.4)])
+
+    def test_three_samples_in_general_position(self):
+        a, b = normalized_pair(0.8, 1.1, 2.5)
+        f = mobius(a, b)
+        fit = fit_mobius([(p, f(p)) for p in (cmath.exp(0.3j), 0.4 - 0.2j, cmath.exp(4.1j))])
+        assert abs(fit.a - a) < 1e-12 and abs(fit.b - b) < 1e-12
+        assert fit.residual < 1e-12
+
+    def test_sample_container_and_pair_list_agree(self):
+        samples = UnitaryFamilySample.uniform_grid(64, mobius(*normalized_pair(0.45, 0.9, 0.1)))
+        pairs = [(cmath.exp(1j * chi), v) for chi, v in zip(samples.chis, samples.values)]
+        assert fit_mobius(samples) == fit_mobius(pairs)
+
+    def test_large_n_recovery_in_linear_memory(self):
+        # a full SVD of the 2N x 4 system would allocate a 2N x 2N left
+        # factor: 512 MB at N = 4096
+        a, b = normalized_pair(0.7, 0.3, -1.9)
+        samples = UnitaryFamilySample.uniform_grid(4096, mobius(a, b))
+        tracemalloc.start()
+        try:
+            fit = fit_mobius(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(fit.a - a) < 1e-12 and abs(fit.b - b) < 1e-12
+        assert fit.residual < 1e-12
+        assert peak < 4 * 2**20
+
+    def test_large_n_constant_family_rank_deficient(self):
+        const = cmath.exp(-2.2j)
+        samples = UnitaryFamilySample.uniform_grid(4096, lambda om: const)
+        with pytest.raises(RankDeficient) as exc:
+            fit_mobius(samples)
+        assert abs(exc.value.constant_value - const) < 1e-12
 
 
 class TestCauchyReconstruct:
