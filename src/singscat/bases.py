@@ -6,10 +6,10 @@ conserved current +/-2:
     u1(r) ~ k^(-1/2) e^(-i pi/4) e^(+i k r) * f(r)       (outgoing)
     u2(r) = conj(u1(r))                                   (ingoing)
 
-where f(r) = 1 + s1/r + s2/r^2 + ... corrects for the integer-exponent
-tail of J - k^2; the recursion for the s_m follows from substituting the
-ansatz into the governing equation.  The first omitted term plus the
-non-representable tail gives the reported truncation estimate.
+where f(r) = 1 + sum s_gamma r^(-gamma) corrects for the power-law terms
+g r^(-alpha) of J - k^2, over the exponents generated from 0 by the steps
+1 and alpha - 1.  The first unit band [n, n+1) of gamma whose moduli do
+not decrease, plus a Gaussian barrier's tail, gives the truncation estimate.
 
 Near the origin (r -> 0):
 
@@ -36,6 +36,7 @@ real logarithm, which fixes the branch for all r > 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -47,7 +48,6 @@ from .model import (
     ValidatedConfig,
     asymptotic_tail_residual,
     asymptotic_tail_terms,
-    core_tail_residual,
     origin_perturbation,
     origin_power_terms,
     singularity_phase_error,
@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 _MAX_SERIES_ORDER = 8
+#: Far-field exponents closer than this are one (rounding is far smaller).
+_SAME_EXPONENT = 1e-9
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
 #: Share of ``tol`` that the truncation of either basis may take at the
 #: radii where the propagation starts and ends.
@@ -77,22 +79,38 @@ class BasisSample(NamedTuple):
     trunc_error: float
 
 
-def _series_coefficients(config: ValidatedConfig) -> list[complex]:
-    """Coefficients s_0 .. s_(M+1) of the far-field correction series;
-    the extra coefficient feeds the truncation estimate."""
+@functools.lru_cache(maxsize=64)
+def _series_coefficients(config: ValidatedConfig) -> tuple[tuple[int, float, complex], ...]:
+    """Nonzero terms (n, -gamma, s_gamma) of the far-field correction
+    series in increasing gamma, n = int(gamma) <= M + 1, then a zero term
+    in band M + 2.  The exponents are generated from 0 by the steps 1 and
+    alpha - 1 >= 1 of the tail terms g r^(-alpha), and the equation gives
+    2 i k gamma s_gamma = (gamma - 1) gamma s_(gamma-1) + sum g s_(gamma+1-alpha).
+    """
     terms = asymptotic_tail_terms(config)
-    if not terms:
-        return [1.0 + 0j]
-    k = config.k
-    s: list[complex] = [1.0 + 0j]
-    for m in range(_MAX_SERIES_ORDER + 1):
-        acc = m * (m + 1) * s[m]
-        for mj, g in terms:
-            idx = m + 2 - mj
-            if 0 <= idx <= m:
-                acc += g * s[idx]
-        s.append(acc / (2j * k * (m + 1)))
-    return s
+    steps = {1.0, *(a - 1.0 for a, _ in terms)}
+    cap = _MAX_SERIES_ORDER + 2
+    found = frontier = {0.0}
+    while frontier:
+        frontier = {x + d for x in frontier for d in steps if x + d < cap} - found
+        found = found | frontier
+    known = [(0.0, 1.0 + 0j)]
+    out = []
+
+    def at(x: float) -> complex:  # s_x, zero where x is not an exponent
+        return next((c for y, c in known if abs(y - x) <= _SAME_EXPONENT), 0j)
+
+    for gamma in sorted(found):
+        if gamma - known[-1][0] <= _SAME_EXPONENT:
+            continue  # 0, or a rounding twin of the exponent before
+        acc = (gamma - 1.0) * gamma * at(gamma - 1.0)
+        for a, g in terms:
+            acc += g * at(gamma + 1.0 - a)
+        sg = acc / (2j * config.k * gamma)
+        known.append((gamma, sg))
+        if sg != 0:
+            out.append((int(gamma + _SAME_EXPONENT), -gamma, sg))
+    return (*out, (cap, 0.0, 0j))
 
 
 def eval_asymptotic(
@@ -100,33 +118,32 @@ def eval_asymptotic(
 ) -> BasisSample:
     """Outgoing far-field member u1 with its derivative at r.
 
-    The correction series is summed while its terms decrease; the first
-    omitted term plus any non-representable tail forms the truncation
-    estimate.  Raises :class:`AsymptoticRegionTooClose` when that
-    estimate exceeds ``config.tol`` (unless ``raise_on_error=False``).
+    The correction series is summed band by band while a band's sum of
+    moduli decreases; that sum for the first band that does not, or past
+    order M, plus a Gaussian barrier's tail is the truncation estimate.
+    Raises :class:`AsymptoticRegionTooClose` when that estimate exceeds
+    ``config.tol`` (unless ``raise_on_error=False``).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
     k = config.k
-    s = _series_coefficients(config)
 
-    f = 1.0 + 0j
-    df = 0j
-    omitted = 0.0
-    used = 0
-    prev_mag = math.inf
-    for m in range(1, len(s)):
-        if s[m] == 0:
-            continue
-        term = s[m] * r ** (-m)
-        mag = abs(term)
-        if mag >= prev_mag or m > _MAX_SERIES_ORDER:
-            omitted = mag
-            break
-        f += term
-        df += -m * s[m] * r ** (-m - 1)
-        used = m
-        prev_mag = mag
+    f, df, omitted, used, prev_mag = 1.0 + 0j, 0j, 0.0, 0, math.inf
+    coefficients = _series_coefficients(config)
+    band, f_band, df_band, mag = coefficients[0][0], 0j, 0j, 0.0
+    for n, e, c in coefficients:
+        if n != band:  # band closed; the final zero term closes the last one
+            if mag >= prev_mag or band > _MAX_SERIES_ORDER:
+                omitted = mag
+                break
+            f += f_band
+            df += df_band
+            used, prev_mag = band, mag
+            band, f_band, df_band, mag = n, 0j, 0j, 0.0
+        t = c * r ** e
+        f_band += t
+        df_band += e * c * r ** (e - 1.0)
+        mag += abs(t)
 
     est = omitted / max(abs(f), 1e-12) + asymptotic_tail_residual(config, r)
     if raise_on_error and est > config.tol:
@@ -296,13 +313,8 @@ def choose_r_max_start(config: ValidatedConfig) -> float:
     floor = 2.0 * r_min_cap(config)
     r = _edge(lambda x: eval_asymptotic(config, x, raise_on_error=False).trunc_error <= target,
               config.r_max, 0.5, floor, 15)
-    if r is not None:
-        return r
-    r = config.r_max * 2.0 ** 15
-    msg = f"far-field truncation still above {target:.1e} at r={r:.3e}"
-    if core_tail_residual(config, r) > target:
-        msg += (
-            f": the lambda r^(1-p) tail of non-integer p = {config.p:g} is "
-            "outside the far-field series and decays too slowly"
+    if r is None:
+        raise AsymptoticRegionTooClose(
+            f"far-field truncation still above {target:.1e} at r={config.r_max * 2.0 ** 15:.3e}"
         )
-    raise AsymptoticRegionTooClose(msg)
+    return r

@@ -48,7 +48,6 @@ __all__ = [
     "invariant_callable",
     "asymptotic_tail_terms",
     "asymptotic_tail_residual",
-    "core_tail_residual",
     "OriginPerturbation",
     "origin_power_terms",
     "origin_perturbation",
@@ -56,10 +55,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-def _is_integerish(x: float, eps: float = 1e-9) -> bool:
-    return abs(x - round(x)) < eps
 
 
 def _is_number(x) -> bool:
@@ -131,12 +126,10 @@ class ExtraPotential:
         return coef * r ** (-q)
 
     def tail_integral(self, r: float) -> float:
-        """Upper bound on integral of |W| over (r, infinity)."""
-        if self.name == "gaussian_barrier":
-            h, c, w = abs(self._p("height")), self._p("center"), self._p("width")
-            return h * w * _SQRT_PI / 2.0 * math.erfc((r - c) / w)
-        coef, q = abs(self._p("coefficient")), self._p("exponent")
-        return coef * r ** (1.0 - q) / (q - 1.0)
+        """Upper bound on the integral of |W| over (r, infinity) for the
+        Gaussian barrier; power-law W is in the far-field series instead."""
+        h, c, w = abs(self._p("height")), self._p("center"), self._p("width")
+        return h * w * _SQRT_PI / 2.0 * math.erfc((r - c) / w)
 
     def origin_phase(self, r: float, lam: float, p: float) -> float:
         """Bound on the WKB phase integral of |W| / (2 sqrt(J)) over (0, r)
@@ -153,14 +146,6 @@ class ExtraPotential:
         if self.name != "inverse_power":
             return None
         return (-self._p("coefficient"), self._p("exponent"))
-
-    def integer_tail_term(self) -> tuple[int, float] | None:
-        """(exponent, coefficient) contribution of -W to the far expansion
-        of J - k^2, when the exponent is an integer; None otherwise."""
-        term = self.power_term()
-        if term is None or not _is_integerish(term[1]):
-            return None
-        return (int(round(term[1])), term[0])
 
 
 @dataclass(frozen=True)
@@ -374,47 +359,28 @@ def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:
     return j
 
 
-def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[int, float], ...]:
-    """Integer-exponent terms (m, g) of the far expansion J - k^2 ~ sum g/r^m.
-
-    Only integer exponents feed the correction series of the far-field
-    basis; everything else is accounted for by
-    :func:`asymptotic_tail_residual`.
-    """
-    terms: dict[int, float] = {}
+def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
+    """Power-law terms (alpha, g) of J - k^2 ~ sum g r^(-alpha) at their real
+    exponents, in increasing alpha: the core, the centrifugal term and an
+    ``inverse_power`` W.  A Gaussian barrier is in :func:`asymptotic_tail_residual`."""
     if config.theta is not None:
-        terms[2] = config.lam  # theta^2 + 1/4
+        terms = [(2.0, config.lam)]  # theta^2 + 1/4
     else:
-        cf = config.l_plus_nu ** 2 - 0.25
-        if cf != 0.0:
-            terms[2] = -cf
-        if _is_integerish(config.p):
-            terms[int(round(config.p))] = terms.get(int(round(config.p)), 0.0) + config.lam
-    if config.extra_potential is not None:
-        it = config.extra_potential.integer_tail_term()
-        if it is not None:
-            m, g = it
-            terms[m] = terms.get(m, 0.0) + g
-    return tuple(sorted((m, g) for m, g in terms.items() if g != 0.0))
-
-
-def core_tail_residual(config: ValidatedConfig, r: float) -> float:
-    """Phase-error bound at radius r of the core term lambda r^(-p) when p
-    is not an integer, so that the far-field series cannot represent it;
-    zero otherwise.  It decays only like r^(1-p)."""
-    if config.theta is not None or _is_integerish(config.p):
-        return 0.0
-    return config.lam * r ** (1.0 - config.p) / (2.0 * config.k * (config.p - 1.0))
+        terms = [(2.0, -(config.l_plus_nu ** 2 - 0.25)), (config.p, config.lam)]
+    w = config.extra_potential.power_term() if config.extra_potential else None
+    if w is not None:
+        terms.append((w[1], w[0]))  # 2 < exponent < p: no exponent repeats
+    return tuple(sorted((a, g) for a, g in terms if g != 0.0))
 
 
 def asymptotic_tail_residual(config: ValidatedConfig, r: float) -> float:
-    """Phase-error bound at radius r from parts of J - k^2 that the
-    integer-exponent correction series cannot represent."""
-    est = core_tail_residual(config, r)
+    """Phase-error bound at radius r from a Gaussian barrier, the one part
+    of J - k^2 that the far-field correction series does not represent;
+    zero otherwise."""
     ep = config.extra_potential
-    if ep is not None and ep.integer_tail_term() is None:
-        est += ep.tail_integral(r) / (2.0 * config.k)
-    return est
+    if ep is None or ep.power_term() is not None:
+        return 0.0
+    return ep.tail_integral(r) / (2.0 * config.k)
 
 
 class OriginPerturbation(NamedTuple):

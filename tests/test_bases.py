@@ -3,16 +3,20 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singscat import (
+    ExtraPotential,
     ProblemConfig,
     current,
     eval_asymptotic,
     eval_singularity,
     normal_invariant,
+    propagate,
     validate,
 )
-from singscat.bases import choose_r_max_start, choose_r_min, r_min_cap
+from singscat.bases import _series_coefficients, choose_r_max_start, choose_r_min, r_min_cap
 from singscat.errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from singscat.model import origin_perturbation, singularity_phase_error
 from tests.conftest import barrier_config, isp_config, quartic_config
@@ -30,6 +34,95 @@ def hankel_part(cfg, r):
     df = (pert.damp - 1j * pert.ddelta * pert.amp) * phase
     u = got.u / f
     return u, (got.du - u * df) / f
+
+
+def reference_integer_coefficients(cfg):
+    """s_0 .. s_9 from the recursion over integer exponents only that the far
+    series used before it took real exponents (integer p and W exponent)."""
+    terms = {}
+    if cfg.theta is not None:
+        terms[2] = cfg.lam
+    else:
+        cf = cfg.l_plus_nu ** 2 - 0.25
+        if cf != 0.0:
+            terms[2] = -cf
+        terms[int(cfg.p)] = terms.get(int(cfg.p), 0.0) + cfg.lam
+    if cfg.extra_potential is not None:
+        g, q = cfg.extra_potential.power_term()
+        terms[int(q)] = terms.get(int(q), 0.0) + g
+    terms = sorted((m, g) for m, g in terms.items() if g != 0.0)
+    s = [1.0 + 0j]
+    for m in range(9):
+        acc = m * (m + 1) * s[m]
+        for mj, g in terms:
+            idx = m + 2 - mj
+            if 0 <= idx <= m:
+                acc += g * s[idx]
+        s.append(acc / (2j * cfg.k * (m + 1)))
+    return s
+
+
+@st.composite
+def integer_tail_configs(draw):
+    p = draw(st.integers(2, 8))
+    lam = draw(st.floats(0.3, 5.0)) if p == 2 else draw(st.floats(0.01, 5.0))
+    ep = None
+    # an inverse_power W needs an integer exponent 2 < q < p/2 + 1
+    exponents = [q for q in range(3, 9) if q < p / 2.0 + 1.0]
+    if exponents and draw(st.booleans()):
+        ep = ExtraPotential.from_descriptor({
+            "name": "inverse_power",
+            "coefficient": draw(st.floats(-2.0, 2.0)),
+            "exponent": float(draw(st.sampled_from(exponents))),
+        })
+    return validate(ProblemConfig(
+        p=float(p), lam=lam, k=draw(st.floats(0.05, 5.0)),
+        l_plus_nu=draw(st.floats(0.0, 3.0)), extra_potential=ep,
+    ))
+
+
+W25 = ExtraPotential.from_descriptor({"name": "inverse_power", "coefficient": 0.5, "exponent": 2.5})
+W23 = ExtraPotential.from_descriptor({"name": "inverse_power", "coefficient": 0.7, "exponent": 2.3})
+NONINTEGER = {
+    "p2.5": validate(ProblemConfig(p=2.5, lam=1.25, k=1.0, tol=1e-8)),
+    "p3.5": validate(ProblemConfig(p=3.5, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-8)),
+    "p4_W2.5": validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-8,
+                                      extra_potential=W25)),
+    # steps 1, 1.3 and 2.2 reach many exponents along paths whose float
+    # sums differ in the last bit; each such exponent must count once
+    "p3.2_W2.3": validate(ProblemConfig(p=3.2, lam=1.0, k=1.0, tol=1e-8, extra_potential=W23)),
+}
+
+
+class TestFarSeries:
+    @settings(deadline=None, max_examples=200)
+    @given(cfg=integer_tail_configs())
+    def test_integer_exponents_match_reference_exactly(self, cfg):
+        # with integer exponents the series over real exponents is the old
+        # integer recursion, float operation for float operation
+        got = {-e: c for _, e, c in _series_coefficients(cfg)[:-1]}
+        assert set(got) <= {float(m) for m in range(1, 10)}
+        ref = reference_integer_coefficients(cfg)
+        for m in range(1, 10):
+            assert got.get(float(m), 0j) == ref[m]
+
+    def test_noninteger_exponents_are_terms(self):
+        # p = 2.5, l+nu = 0: steps 1 and 1.5 give every multiple of 1/2
+        got = [-e for _, e, _ in _series_coefficients(NONINTEGER["p2.5"])[:-1]]
+        assert got == [0.5 * j for j in range(2, 20)]
+
+    @pytest.mark.parametrize("name", sorted(NONINTEGER))
+    def test_noninteger_tail_basis_solves_equation(self, name):
+        # the far-field state at r, propagated to 2 r, is the far-field
+        # state there: the series carries the non-integer tail
+        cfg = NONINTEGER[name]
+        r = choose_r_max_start(cfg)
+        assert r < cfg.r_max
+        moved = propagate(cfg, eval_asymptotic(cfg, r).state, 2.0 * r).final
+        there = eval_asymptotic(cfg, 2.0 * r).state
+        scale = abs(there.u)
+        assert abs(moved.u - there.u) < cfg.tol * scale
+        assert abs(moved.du - there.du) < cfg.tol * cfg.k * scale
 
 
 class TestAsymptotic:

@@ -182,9 +182,8 @@ class TestExtraPotential:
         assert ep.tail_integral(2.0) < ep.tail_integral(1.0)
         assert ep.tail_integral(20.0) < 1e-200
 
-    def test_inverse_power_value_and_tail(self):
+    def test_inverse_power_value(self):
         ep = ExtraPotential.from_descriptor(
             {"name": "inverse_power", "coefficient": 0.3, "exponent": 3.0}
         )
         assert ep.value(2.0) == pytest.approx(0.3 / 8.0)
-        assert ep.tail_integral(2.0) == pytest.approx(0.3 * 2.0 ** -2 / 2.0)
