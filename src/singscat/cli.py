@@ -147,7 +147,6 @@ def _solve_report(config: ValidatedConfig) -> tuple[dict, tuple]:
                 "basis_trunc": res.basis_trunc,
                 "r_min_used": res.r_min_used,
                 "r_max_used": res.r_max_used,
-                "richardson_rate": res.richardson_rate,
                 "local_tol": res.local_tol,
             },
         },

@@ -18,8 +18,7 @@ the map (C+, C-) -> (C1, C2) has the form
 by construction.  Conservation of the current adds |a|^2 - |b|^2 = 1,
 whose defect is recorded as a diagnostic rather than silently repaired.
 The extraction is repeated under doubling of the far matching radius
-until successive matrices agree to tolerance, with a final Richardson
-extrapolation at the empirically measured decay rate.
+until successive matrices agree to tolerance; the last one is kept.
 
 From M follow the reflection/transmission amplitudes, and the reduced
 S-matrix as a function of the boundary-condition parameter Omega (the
@@ -87,8 +86,7 @@ class TransferResiduals:
     basis_trunc: float           # far-field basis truncation at the final radius
     r_min_used: float
     r_max_used: float
-    richardson_rate: float | None
-    local_tol: float             # per-step tolerance of the final sweep
+    local_tol: float             # per-step tolerance of the sweep
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,6 @@ class SMatrixMap:
     delta: complex
     zero: complex | None
     pole: complex | None
-    a: complex
-    b: complex
     degenerate: bool
     constant: complex | None
 
@@ -168,69 +164,14 @@ def _averaged_projection(
     return c1 / n, c2 / n, state, drift
 
 
-class _NoisePlateau(Exception):
-    """Internal: level diffs stopped shrinking above tol while the basis
-    truncation is already far below it; integration noise dominates."""
-
-
-def _extract_levels(config: ValidatedConfig, *, local_tol: float):
-    """One stabilization sweep; returns (levels, diffs, drift, r_min)."""
-    tol = config.tol
-    r_min = bases.choose_r_min(config)
-    state = bases.eval_singularity(config, r_min).state
-    w_ref = wronskian(state, state.conjugate())  # -2i up to truncation
-
-    r_level = bases.choose_r_max_start(config)
-
-    levels: list[tuple[float, complex, complex]] = []
-    drift_total = 0.0
-    diff = math.inf
-    diffs: list[float] = []
-
-    for _level in range(_MAX_LEVELS):
-        leg = propagate(config, state, r_level, local_tol=local_tol)
-        state = leg.final
-        drift_total = max(drift_total, leg.wronskian_drift)
-        w_now = wronskian(state, state.conjugate())
-        if abs(w_now - w_ref) > 0.5 * abs(w_ref):
-            raise DegenerateColumns(
-                f"W[u, u*] moved from {w_ref:.6g} to {w_now:.6g}"
-            )
-
-        a_lvl, c2, state, dr = _averaged_projection(config, state, local_tol=local_tol)
-        drift_total = max(drift_total, dr)
-        b_lvl = c2.conjugate()
-        levels.append((r_level, a_lvl, b_lvl))
-
-        if len(levels) > 1:
-            _, a_prev, b_prev = levels[-2]
-            diff = max(abs(a_lvl - a_prev), abs(b_lvl - b_prev)) / max(1.0, abs(a_lvl))
-            diffs.append(diff)
-            if diff < tol:
-                break
-            trunc = bases.eval_asymptotic(config, r_level, raise_on_error=False).trunc_error
-            plateaued = len(diffs) >= 2 and diff > 0.3 * diffs[-2]
-            if plateaued and trunc < 0.1 * tol:
-                raise _NoisePlateau
-        r_level = max(2.0 * r_level, state.r + math.pi / config.k)
-    else:
-        raise NoStabilization(
-            f"transfer matrix not stable after {_MAX_LEVELS} doublings "
-            f"(last change {diff:.3e} > tol {tol:.1e})"
-        )
-    return levels, diffs, drift_total, r_min
-
-
 def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
     """Extract the transfer matrix of a validated configuration.
 
     Initializes the outgoing solution from the near-origin basis at an
     automatically refined inner radius, propagates it outward, and
     projects onto the far-field basis.  The far matching radius is
-    doubled until successive matrices differ by less than ``tol``, and
-    the last two are Richardson-extrapolated.  If the level differences
-    plateau at the integration noise floor, the sweep restarts once with
-    a tighter local tolerance.
+    doubled until successive matrices differ by less than ``tol``; the
+    last matrix is returned.
 
     Raises
     ------
@@ -256,41 +197,53 @@ def _global_error(config: ValidatedConfig, m: TransferMatrix) -> float:
 
 
 def _extract(config: ValidatedConfig, local_tol: float) -> TransferMatrix:
-    for attempt in range(2):
-        try:
-            levels, diffs, drift_total, r_min = _extract_levels(config, local_tol=local_tol)
-            break
-        except _NoisePlateau:
-            if attempt == 1:
-                raise NoStabilization(
-                    "level differences limited by integration noise even at "
-                    f"local tolerance {local_tol:.1e}"
-                )
-            local_tol /= 30.0
+    """One stabilization sweep at per-step tolerance ``local_tol``."""
+    tol = config.tol
+    r_min = bases.choose_r_min(config)
+    state = bases.eval_singularity(config, r_min).state
+    w_ref = wronskian(state, state.conjugate())  # -2i up to truncation
 
-    r_report, a_fin, b_fin = levels[-1]
-    diff = diffs[-1]
-    rate = None
-    if len(diffs) >= 2 and diffs[-1] > 0.0 and diffs[-2] > diffs[-1]:
-        rate = math.log2(diffs[-2] / diffs[-1])
-        rate = min(max(rate, 0.5), 12.0)
-        fac = 2.0 ** rate - 1.0
-        _, a_prev, b_prev = levels[-2]
-        a_fin = a_fin + (a_fin - a_prev) / fac
-        b_fin = b_fin + (b_fin - b_prev) / fac
+    r_level = bases.choose_r_max_start(config)
+    prev: tuple[complex, complex] | None = None
+    drift_total = 0.0
+    diff = math.inf
 
-    far = bases.eval_asymptotic(config, r_report, raise_on_error=False)
+    for _level in range(_MAX_LEVELS):
+        leg = propagate(config, state, r_level, local_tol=local_tol)
+        state = leg.final
+        drift_total = max(drift_total, leg.wronskian_drift)
+        w_now = wronskian(state, state.conjugate())
+        if abs(w_now - w_ref) > 0.5 * abs(w_ref):
+            raise DegenerateColumns(
+                f"W[u, u*] moved from {w_ref:.6g} to {w_now:.6g}"
+            )
+
+        a, c2, state, dr = _averaged_projection(config, state, local_tol=local_tol)
+        drift_total = max(drift_total, dr)
+        b = c2.conjugate()
+        if prev is not None:
+            diff = max(abs(a - prev[0]), abs(b - prev[1])) / max(1.0, abs(a))
+            if diff < tol:
+                break
+        prev = (a, b)
+        r_level = max(2.0 * r_level, state.r + math.pi / config.k)
+    else:
+        raise NoStabilization(
+            f"transfer matrix not stable after {_MAX_LEVELS} doublings "
+            f"(last change {diff:.3e} > tol {tol:.1e})"
+        )
+
+    far = bases.eval_asymptotic(config, r_level, raise_on_error=False)
     residuals = TransferResiduals(
-        su11_defect=abs(abs(a_fin) ** 2 - abs(b_fin) ** 2 - 1.0),
+        su11_defect=abs(abs(a) ** 2 - abs(b) ** 2 - 1.0),
         stabilization_diff=diff,
         wronskian_drift=drift_total,
         basis_trunc=far.trunc_error,
         r_min_used=r_min,
-        r_max_used=r_report,
-        richardson_rate=rate,
+        r_max_used=r_level,
         local_tol=local_tol,
     )
-    return TransferMatrix(a=a_fin, b=b_fin, residuals=residuals)
+    return TransferMatrix(a=a, b=b, residuals=residuals)
 
 
 def scattering_coefficients(
@@ -370,8 +323,6 @@ def blaschke_params(m: TransferMatrix, *, tol: float = 1e-10) -> SMatrixMap:
             delta=delta,
             zero=None,
             pole=None,
-            a=m.a,
-            b=m.b,
             degenerate=True,
             constant=coeffs.Rp,
         )
@@ -381,8 +332,6 @@ def blaschke_params(m: TransferMatrix, *, tol: float = 1e-10) -> SMatrixMap:
         delta=delta,
         zero=zero,
         pole=pole,
-        a=m.a,
-        b=m.b,
         degenerate=False,
         constant=None,
     )

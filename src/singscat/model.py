@@ -321,14 +321,7 @@ def normal_invariant(config: ValidatedConfig, r: float) -> float:
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    j = config.k ** 2 + config.lam * r ** (-config.p)
-    if config.theta is None:
-        cf = config.l_plus_nu ** 2 - 0.25
-        if cf != 0.0:
-            j -= cf / (r * r)
-    if config.extra_potential is not None:
-        j -= config.extra_potential.value(r)
-    return j
+    return invariant_callable(config)(r)
 
 
 def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -86,6 +87,20 @@ class TestSolve:
         assert main(["solve", "--config", path, "--output", "-"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("AsymptoticRegionTooClose: far-field truncation still above")
+        assert err.count("\n") == 1
+
+    def test_unstable_levels_exit_1(self, tmp_path, capsys, monkeypatch):
+        # levels that never agree use up the doubling budget: exit 1, one line
+        count = itertools.count()
+
+        def wandering(config, state, *, local_tol):
+            return 1.0 + next(count), 0j, state, 0.0
+
+        monkeypatch.setattr(connect, "_averaged_projection", wandering)
+        path = write_config(tmp_path, "unstable.json", tol=1e-6)
+        assert main(["solve", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NoStabilization: transfer matrix not stable")
         assert err.count("\n") == 1
 
     def test_noninteger_power_w_solves(self, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -31,7 +32,6 @@ _DUMMY_RES = TransferResiduals(
     basis_trunc=0.0,
     r_min_used=1e-4,
     r_max_used=100.0,
-    richardson_rate=None,
     local_tol=1e-13,
 )
 
@@ -219,32 +219,16 @@ class TestStabilization:
         rotated = dataclasses.replace(m, a=m.a * turn, b=m.b * turn)
         assert _global_error(sol.config, rotated) > 100.0 * tol
 
-    def test_noise_plateau_restarts_at_tighter_local_tol(self, monkeypatch):
-        # a sweep whose level differences plateau at the integration noise
-        # is run once more at 1/30 of the per-step tolerance
-        cfg = isp_config(1.0, tol=1e-8)
-        sweep = connect._extract_levels
-        local_tols = []
+    def test_unstable_levels_exhaust_the_doubling_budget(self, monkeypatch):
+        # a projection whose matrix keeps moving never meets tol at any level
+        count = itertools.count()
 
-        def plateau_once(config, *, local_tol):
-            local_tols.append(local_tol)
-            if len(local_tols) == 1:
-                raise connect._NoisePlateau
-            return sweep(config, local_tol=local_tol)
+        def wandering(config, state, *, local_tol):
+            return 1.0 + next(count), 0j, state, 0.0
 
-        monkeypatch.setattr(connect, "_extract_levels", plateau_once)
-        m = transfer_matrix(cfg)
-        assert local_tols == [cfg.tol / 2000.0, cfg.tol / 2000.0 / 30.0]
-        assert m.residuals.local_tol == cfg.tol / 2000.0 / 30.0
-        assert m.residuals.stabilization_diff < cfg.tol
-
-    def test_persistent_noise_plateau_fails(self, monkeypatch):
-        def plateau(config, *, local_tol):
-            raise connect._NoisePlateau
-
-        monkeypatch.setattr(connect, "_extract_levels", plateau)
-        with pytest.raises(NoStabilization, match="integration noise"):
-            transfer_matrix(isp_config(1.0, tol=1e-8))
+        monkeypatch.setattr(connect, "_averaged_projection", wandering)
+        with pytest.raises(NoStabilization, match=f"after {connect._MAX_LEVELS} doublings"):
+            transfer_matrix(isp_config(1.0, tol=1e-6))
 
 
 class TestGenericExponent:

@@ -124,8 +124,13 @@ class TestNormalInvariant:
         ):
             cfg = validate(base)
             j = invariant_callable(cfg)
+            # the conformal coupling lambda already holds the centrifugal term
+            cf = 0.0 if cfg.is_conformal else cfg.l_plus_nu ** 2 - 0.25
             for r in (1e-3, 0.3, 2.0, 17.0):
-                assert j(r) == pytest.approx(normal_invariant(cfg, r), rel=1e-14)
+                w = ep.value(r) if cfg.extra_potential else 0.0
+                expected = cfg.k ** 2 + cfg.lam * r ** (-cfg.p) - cf / r ** 2 - w
+                assert j(r) == normal_invariant(cfg, r)
+                assert j(r) == pytest.approx(expected, rel=1e-14)
 
     def test_barrier_carves_into_invariant(self):
         ep = ExtraPotential.from_descriptor(
