@@ -62,10 +62,6 @@ class NoStabilization(SingscatError):
     """Transfer matrix did not stabilize under far-radius doubling."""
 
 
-class DegenerateColumns(SingscatError):
-    """Propagated fundamental pair lost numerical independence."""
-
-
 class DegenerateTransmission(SingscatError):
     """|a| beyond 1/tol: transmission numerically indistinguishable from 0."""
 

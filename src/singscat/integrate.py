@@ -12,12 +12,8 @@ The Wronskian of the solution with its conjugate,
     W[u, u*] = u du* - du u* = -i J[u],
 
 is a conserved quantity (the current, up to a factor).  Its maximum
-relative drift is recorded; if it exceeds the config tolerance the
-propagation retries with a tighter local tolerance before giving up.
-
-Step sizes are additionally capped at a fraction of the local
-oscillation wavelength 2*pi/sqrt(J), which keeps the stepper honest in
-the stiffly oscillatory region near a strong singularity.
+relative drift is recorded; a run whose drift exceeds the config
+tolerance raises :class:`DriftExceeded`.
 """
 
 from __future__ import annotations
@@ -48,8 +44,6 @@ class StateVector:
 class StepStats:
     n_steps: int
     n_rejected: int
-    h_min: float
-    h_max: float
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def _run(jfun, u, du, r0, r1, rtol):
     direction = 1.0 if r1 >= r0 else -1.0
     span = abs(r1 - r0)
     if span == 0.0:
-        return (r0, u, du), StepStats(0, 0, 0.0, 0.0), 0.0
+        return (r0, u, du), StepStats(0, 0), 0.0
 
     # the tableau with its zero entries dropped; c7 = c8 = 1
     _, c1, c2, c3, c4, c5, c6, _, _ = _C
@@ -135,7 +129,6 @@ def _run(jfun, u, du, r0, r1, rtol):
     b0, _, _, b3, _, b5, b6, b7, _ = _B6
     e0, _, _, e3, e4, e5, e6, e7, e8 = _E
     sqrt = math.sqrt
-    cap_scale = _WAVELENGTH_FRACTION * 2.0 * math.pi
 
     # W[u, u*] = 2i Im(u du*); its imaginary half is what drifts
     s0 = u.imag * du.real - u.real * du.imag
@@ -153,8 +146,6 @@ def _run(jfun, u, du, r0, r1, rtol):
     n_steps = 0
     n_rejected = 0
     rejects_in_row = 0
-    h_min = math.inf
-    h_max = 0.0
 
     while (r1 - r) * direction > 0.0:
         if n_steps + n_rejected > _MAX_STEPS:
@@ -211,19 +202,12 @@ def _run(jfun, u, du, r0, r1, rtol):
             g = g_new
             n_steps += 1
             rejects_in_row = 0
-            ah = abs(h)
-            h_min = min(h_min, ah)
-            h_max = max(h_max, ah)
             dev = abs(u.imag * du.real - u.real * du.imag - s0)
             if dev > dev_max:
                 dev_max = dev
             factor = 0.9 * norm ** (-_ORDER_EXP) if norm > 0.0 else 6.0
             factor = min(6.0, max(0.25, factor))
             h = h * factor
-            if j_new > 0.0:
-                cap = cap_scale / sqrt(j_new)
-                if abs(h) > cap:
-                    h = direction * cap
         else:
             n_rejected += 1
             rejects_in_row += 1
@@ -232,9 +216,7 @@ def _run(jfun, u, du, r0, r1, rtol):
             factor = max(0.1, 0.9 * norm ** (-_ORDER_EXP))
             h = h * factor
 
-    if h_min is math.inf:
-        h_min = 0.0
-    return (r, u, du), StepStats(n_steps, n_rejected, h_min, h_max), dev_max / s_scale
+    return (r, u, du), StepStats(n_steps, n_rejected), dev_max / s_scale
 
 
 def propagate(
@@ -250,22 +232,21 @@ def propagate(
     ----------
     config : ValidatedConfig
         Supplies J(r) and the tolerance ``tol``, which also bounds the
-        relative drift of W[u, u*]: a run whose drift exceeds half of it
-        is retried at a 30x tighter local tolerance (three attempts in
-        all).
+        relative drift of W[u, u*].
     init : StateVector
         Starting state; must be finite with r > 0.
     r_target : float
         Final radius (either direction).
     local_tol : float, optional
-        Per-step relative error target.  Defaults to tol / 100.
+        Per-step relative error target.  Defaults to tol / 100 and is
+        floored at 4e-15; ``Trajectory.local_tol`` is the value used.
 
     Raises
     ------
     StepUnderflow
         Step control collapsed (stiffness budget exceeded).
     DriftExceeded
-        Conservation failure persisting through retries.
+        The relative drift of W[u, u*] exceeds ``tol``.
     """
     for z in (init.u, init.du):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -277,11 +258,7 @@ def propagate(
     rtol = local_tol if local_tol is not None else config.tol / 100.0
     rtol = max(rtol, 4e-15)
 
-    for _attempt in range(3):
-        end, stats, drift = _run(jfun, init.u, init.du, init.r, r_target, rtol)
-        if drift <= 0.5 * config.tol or rtol <= 4e-15:
-            break
-        rtol = max(rtol / 30.0, 4e-15)
+    end, stats, drift = _run(jfun, init.u, init.du, init.r, r_target, rtol)
     if drift > config.tol:
         raise DriftExceeded(
             f"Wronskian drift {drift:.3e} exceeds budget {config.tol:.3e} "

@@ -227,7 +227,7 @@ class TestStabilization:
             return 1.0 + next(count), 0j, state, 0.0
 
         monkeypatch.setattr(connect, "_averaged_projection", wandering)
-        with pytest.raises(NoStabilization, match=f"after {connect._MAX_LEVELS} doublings"):
+        with pytest.raises(NoStabilization, match=f"after {connect._MAX_LEVELS - 1} doublings"):
             transfer_matrix(isp_config(1.0, tol=1e-6))
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from singscat import ProblemConfig, StateVector, eval_singularity, propagate, validate, wronskian
+from singscat import ProblemConfig, StateVector, eval_singularity, integrate, propagate, validate, wronskian
 from singscat.errors import DriftExceeded
 from tests.conftest import isp_config
 
@@ -107,11 +107,27 @@ def test_tiny_drift_budget_raises():
         propagate(cfg, init, 5.0)
 
 
-def test_drift_retry_tightens_local_tol():
-    # local_tol 1e-8 drifts past tol / 2 = 5e-11; two 30x tighter
-    # retries bring the drift within tol
+def test_drift_over_budget_raises_on_the_only_run(monkeypatch):
+    # local_tol 1e-8 drifts about 6e-9, past tol 1e-10: one run, no retry
     cfg = isp_config(1.0)
     init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
-    traj = propagate(cfg, init, 5.0, local_tol=1e-8)
-    assert traj.local_tol == pytest.approx(1e-8 / 900.0, rel=1e-12)
+    runs = []
+    run = integrate._run
+
+    def counted(*args):
+        runs.append(args[-1])
+        return run(*args)
+
+    monkeypatch.setattr(integrate, "_run", counted)
+    with pytest.raises(DriftExceeded, match="local_tol=1.0e-08"):
+        propagate(cfg, init, 5.0, local_tol=1e-8)
+    assert runs == [1e-8]
+
+
+@pytest.mark.parametrize("local_tol", [1e-12, 1e-20])
+def test_local_tol_used_is_the_floored_request(local_tol):
+    cfg = isp_config(1.0)
+    init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
+    traj = propagate(cfg, init, 5.0, local_tol=local_tol)
+    assert traj.local_tol == max(local_tol, 4e-15)
     assert traj.wronskian_drift <= cfg.tol

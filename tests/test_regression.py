@@ -8,8 +8,8 @@ to ``tol`` except for ``degenerate_barrier`` (|a| ~ 4150), whose golden
 comes from a tol-1e-7 extraction.  The quartic inner-leg step count pins
 the step control and both matching-radius choices (the leg runs from
 ``choose_r_min`` to ``choose_r_max_start``): a change to the error norm,
-the step size policy, the wavelength cap, the near-origin error bound or
-the far-field truncation estimate moves it.
+the step size policy, the near-origin error bound or the far-field
+truncation estimate moves it.
 """
 
 from pathlib import Path
