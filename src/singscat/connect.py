@@ -7,9 +7,8 @@ Wronskian projection:
     C1 = W[u2, w] / W[u2, u1],      C2 = W[u1, w] / W[u1, u2].
 
 Wronskians of solutions are r-independent, so the projections can be
-evaluated at any radius in the far-field region; averaging them over
-several radii a quarter-wavelength apart suppresses the residual
-oscillatory truncation error of the basis.  Both bases are closed under
+evaluated at any radius in the far-field region; they are taken at the
+far matching radius itself.  Both bases are closed under
 conjugation (u- = u+*, u2 = u1*), so u- resolves as (C2+*, C1+*) and
 the map (C+, C-) -> (C1, C2) has the form
 
@@ -64,7 +63,6 @@ __all__ = [
 OMEGA_INFINITY = complex(math.inf, 0.0)
 
 _MAX_LEVELS = 9
-_N_PROJECTION_RADII = 4
 
 
 def _is_inf(z: complex) -> bool:
@@ -134,39 +132,14 @@ def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, comp
     return c1, c2
 
 
-def _averaged_projection(
-    config: ValidatedConfig,
-    state: StateVector,
-    *,
-    local_tol: float,
-) -> tuple[complex, complex, StateVector, float]:
-    """Project a solution, averaged over radii pi/(2k) apart.
-
-    Returns (C1, C2, last_state, drift_max).
-    """
-    step = math.pi / (2.0 * config.k)
-    c1 = c2 = 0j
-    drift = 0.0
-    for m in range(_N_PROJECTION_RADII):
-        if m > 0:
-            leg = propagate(config, state, state.r + step, local_tol=local_tol)
-            state = leg.final
-            drift = max(drift, leg.wronskian_drift)
-        p1, p2 = _project(config, state)
-        c1 += p1
-        c2 += p2
-    n = float(_N_PROJECTION_RADII)
-    return c1 / n, c2 / n, state, drift
-
-
 def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
     """Extract the transfer matrix of a validated configuration.
 
     Initializes the outgoing solution from the near-origin basis at an
     automatically refined inner radius, propagates it outward, and
-    projects onto the far-field basis.  The far matching radius is
-    doubled until successive matrices differ by less than ``tol``; the
-    last matrix is returned.
+    projects it onto the far-field basis at the far matching radius.
+    That radius is doubled until successive matrices differ by less
+    than ``tol``; the last matrix is returned.
 
     Raises
     ------
@@ -205,16 +178,14 @@ def _extract(config: ValidatedConfig, local_tol: float) -> TransferMatrix:
         leg = propagate(config, state, r_level, local_tol=local_tol)
         state = leg.final
         drift_total = max(drift_total, leg.wronskian_drift)
-
-        a, c2, state, dr = _averaged_projection(config, state, local_tol=local_tol)
-        drift_total = max(drift_total, dr)
+        a, c2 = _project(config, state)
         b = c2.conjugate()
         if prev is not None:
             diff = max(abs(a - prev[0]), abs(b - prev[1])) / max(1.0, abs(a))
             if diff < tol:
                 break
         prev = (a, b)
-        r_level = max(2.0 * r_level, state.r + math.pi / config.k)
+        r_level = max(2.0 * r_level, r_level + math.pi / config.k)
     else:
         raise NoStabilization(
             f"transfer matrix not stable after {_MAX_LEVELS - 1} doublings "

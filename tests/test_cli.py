@@ -93,10 +93,10 @@ class TestSolve:
         # levels that never agree use up the doubling budget: exit 1, one line
         count = itertools.count()
 
-        def wandering(config, state, *, local_tol):
-            return 1.0 + next(count), 0j, state, 0.0
+        def wandering(config, state):
+            return 1.0 + next(count), 0j
 
-        monkeypatch.setattr(connect, "_averaged_projection", wandering)
+        monkeypatch.setattr(connect, "_project", wandering)
         path = write_config(tmp_path, "unstable.json", tol=1e-6)
         assert main(["solve", "--config", path]) == 1
         err = capsys.readouterr().err

@@ -223,12 +223,14 @@ class TestStabilization:
         # a projection whose matrix keeps moving never meets tol at any level
         count = itertools.count()
 
-        def wandering(config, state, *, local_tol):
-            return 1.0 + next(count), 0j, state, 0.0
+        def wandering(config, state):
+            return 1.0 + next(count), 0j
 
-        monkeypatch.setattr(connect, "_averaged_projection", wandering)
+        monkeypatch.setattr(connect, "_project", wandering)
         with pytest.raises(NoStabilization, match=f"after {connect._MAX_LEVELS - 1} doublings"):
             transfer_matrix(isp_config(1.0, tol=1e-6))
+        # one projection per level
+        assert next(count) == connect._MAX_LEVELS
 
 
 class TestGenericExponent:
