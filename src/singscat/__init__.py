@@ -49,7 +49,7 @@ from .model import (
     normal_invariant,
     validate,
 )
-from .oracle import IspExactResult, complex_gamma, isp_exact
+from .oracle import IspExactResult, isp_exact
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "cauchy_reconstruct",
     "choose_r_max_start",
     "choose_r_min",
-    "complex_gamma",
     "current",
     "eval_asymptotic",
     "eval_singularity",

@@ -122,14 +122,16 @@ class SMatrixMap:
     constant: complex | None
 
 
-def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, complex]:
-    """Resolve a state in the far-field basis at its own radius."""
-    one = bases.eval_asymptotic(config, state.r).state
+def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, complex, float]:
+    """Resolve a state in the far-field basis at its own radius; also
+    return the basis truncation there."""
+    far = bases.eval_asymptotic(config, state.r)
+    one = far.state
     two = one.conjugate()
     w21 = wronskian(two, one)
     c1 = wronskian(two, state) / w21
     c2 = wronskian(one, state) / (-w21)
-    return c1, c2
+    return c1, c2, far.trunc_error
 
 
 def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
@@ -178,7 +180,7 @@ def _extract(config: ValidatedConfig, local_tol: float) -> TransferMatrix:
         leg = propagate(config, state, r_level, local_tol=local_tol)
         state = leg.final
         drift_total = max(drift_total, leg.wronskian_drift)
-        a, c2 = _project(config, state)
+        a, c2, trunc = _project(config, state)
         b = c2.conjugate()
         if prev is not None:
             diff = max(abs(a - prev[0]), abs(b - prev[1])) / max(1.0, abs(a))
@@ -192,12 +194,11 @@ def _extract(config: ValidatedConfig, local_tol: float) -> TransferMatrix:
             f"(last change {diff:.3e} > tol {tol:.1e})"
         )
 
-    far = bases.eval_asymptotic(config, r_level, raise_on_error=False)
     residuals = TransferResiduals(
         su11_defect=abs(abs(a) ** 2 - abs(b) ** 2 - 1.0),
         stabilization_diff=diff,
         wronskian_drift=drift_total,
-        basis_trunc=far.trunc_error,
+        basis_trunc=trunc,
         r_min_used=r_min,
         r_max_used=r_level,
         local_tol=local_tol,
@@ -266,18 +267,26 @@ def full_s_matrix(
     return phase * s_matrix(m, omega, tol=tol)
 
 
+def _constant_map_tol(tol: float) -> float:
+    """How far S(Omega) may move over |Omega| <= 0.6 and still be reported
+    as the constant of the degenerate branch."""
+    return max(1e-6, 100.0 * tol)
+
+
 def blaschke_params(m: TransferMatrix, *, tol: float = 1e-10) -> SMatrixMap:
     """Zero, pole and global phase of the single-Blaschke-factor map.
 
-    The degenerate branch is taken when |R| > 1 - sqrt(tol): the pole
-    1/R loses numerical meaning before |R| reaches 1, the map is then
-    reported as the Omega-independent constant S(0) = R' of modulus one,
-    and zero/pole are withheld.
+    Over |Omega| <= 0.6 the values of a disk automorphism with
+    |S(0)| = |R| differ by at most 1.2 (1 - |R|^2) / (1 - 0.36 |R|^2),
+    less than 4 (1 - |R|).  Where that bound is within
+    :func:`_constant_map_tol` the degenerate
+    branch is taken: the map is reported as the Omega-independent
+    constant S(0) = R' of modulus one, and zero/pole are withheld.
     """
     coeffs = scattering_coefficients(m)
     delta = -m.a / m.a.conjugate()
     r_mod = abs(coeffs.R)
-    if r_mod > 1.0 - math.sqrt(tol):
+    if 4.0 * (1.0 - r_mod) <= _constant_map_tol(tol):
         return SMatrixMap(
             delta=delta,
             zero=None,

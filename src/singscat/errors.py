@@ -86,9 +86,3 @@ class RankDeficient(SingscatError):
 
 class OutsideDisk(SingscatError):
     """Cauchy reconstruction requested outside the open unit disk."""
-
-
-# -------------------------------------------------------------------- oracle
-
-class PoleOfGamma(SingscatError):
-    """Gamma function evaluated at a nonpositive integer."""

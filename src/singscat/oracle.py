@@ -17,54 +17,18 @@ from which
     T  = T' = 1/a*,    R' = b/a* = e^(-pi theta),
     |R| = e^(-pi theta),    |T|^2 = 1 - e^(-2 pi theta).
 
-Only the Gamma function at complex argument is needed; it is provided
-here by a Lanczos approximation (g = 7, nine coefficients), accurate to
-about 13 significant digits on the strip used.
+Only the Gamma function at complex argument is needed; it is
+:func:`scipy.special.gamma`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import PoleOfGamma
+from scipy.special import gamma
 
-__all__ = ["IspExactResult", "isp_exact", "complex_gamma"]
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma(z) for complex z via the Lanczos approximation.
-
-    Uses the reflection formula for Re z < 1/2.  Raises
-    :class:`PoleOfGamma` at nonpositive integers.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise PoleOfGamma(f"Gamma pole at z={z.real:g}")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_COEFFS[0] + 0j
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * x
+__all__ = ["IspExactResult", "isp_exact"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +44,6 @@ class IspExactResult:
     T: complex
     Rp: complex
     Tp: complex
-    gamma_ratio: complex
 
     @property
     def reflection_modulus(self) -> float:
@@ -99,8 +62,8 @@ def isp_exact(theta: float, k: float, mu: float) -> IspExactResult:
     """
     if theta <= 0.0 or k <= 0.0 or mu <= 0.0:
         raise ValueError("theta, k, mu must all be positive")
-    gp = complex_gamma(1.0 + 1j * theta)
-    gm = complex_gamma(1.0 - 1j * theta)
+    gp = complex(gamma(1.0 + 1j * theta))
+    gm = complex(gamma(1.0 - 1j * theta))
     scale = (2.0 * mu / k) ** (1j * theta)  # = exp(i theta ln(2 mu / k))
     norm = math.sqrt(2.0 * math.pi * theta)
     a = gp * scale * math.exp(0.5 * math.pi * theta) / norm
@@ -119,5 +82,4 @@ def isp_exact(theta: float, k: float, mu: float) -> IspExactResult:
         T=T,
         Rp=Rp,
         Tp=T,
-        gamma_ratio=gp / gm,
     )

@@ -1,9 +1,12 @@
 import cmath
 import dataclasses
+import functools
 import math
 
-from singscat import blaschke_params, scattering_coefficients
+from singscat import blaschke_params, connect, scattering_coefficients
+from singscat import checks as suite
 from singscat.checks import solve_checks, verify_checks
+from singscat.currents import current
 from tests.conftest import isp_config
 from tests.test_connect import _DUMMY_RES, fake_matrix
 
@@ -11,15 +14,39 @@ CFG = isp_config(1.0)
 T = 0.5
 A, B = math.cosh(T), math.sinh(T) * cmath.exp(0.3j)
 
+#: check name -> the tests below that drive it to "fail"
+FAILED_BY: dict[str, list[str]] = {}
+
 
 def failing(checks: list[dict]) -> set[str]:
     return {c["name"] for c in checks if c["status"] == "fail"}
+
+
+def fails(*names):
+    """Register a test that returns a check list in which each of
+    ``names`` fails, and assert that they do."""
+
+    def register(test):
+        for name in names:
+            FAILED_BY.setdefault(name, []).append(test.__name__)
+
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            assert set(names) <= failing(test(*args, **kwargs))
+
+        return run
+
+    return register
 
 
 def solve_checks_of(m) -> list[dict]:
     return solve_checks(
         CFG, m, scattering_coefficients(m, tol=CFG.tol), blaschke_params(m, tol=CFG.tol)
     )
+
+
+def verify_checks_of(sol, nodes: int = 128) -> list[dict]:
+    return verify_checks(sol.config, sol.matrix, sol.coeffs, sol.smap, nodes)
 
 
 def with_residuals(**changes):
@@ -33,17 +60,59 @@ def test_exact_matrix_passes_every_check():
     assert {c["status"] for c in checks} == {"pass"}
 
 
-def test_unstabilized_matrix_fails_stabilization():
-    checks = solve_checks_of(with_residuals(stabilization_diff=10.0 * CFG.tol))
-    assert failing(checks) == {"stabilization"}
+def test_every_check_has_a_test_that_fails_it(solved):
+    # a p = 2 map and a degenerate one reach every branch of both suites
+    emitted = set()
+    for name in ("isp1", "barrier"):
+        sol = solved(name)
+        checks = solve_checks(sol.config, sol.matrix, sol.coeffs, sol.smap)
+        emitted |= {c["name"] for c in checks + verify_checks_of(sol)}
+    assert {"mu_covariance_phase", "degenerate_spread"} <= emitted
+    assert emitted - FAILED_BY.keys() == set(), "checks that no test drives to fail"
+    assert FAILED_BY.keys() - emitted == set(), "tests of checks that are not emitted"
 
 
+@fails("su11", "su11_normalized")
 def test_su11_defect_fails_su11():
     checks = solve_checks_of(with_residuals(su11_defect=1e3 * CFG.tol))
     # |a|^2 + |b|^2 = cosh(2T) < 10, so the normalized defect fails too
     assert failing(checks) == {"su11", "su11_normalized"}
+    return checks
 
 
+@fails("unitarity_right")
+def test_non_unitary_matrix_fails_unitarity():
+    # |a|^2 - |b|^2 = 1.0201 cosh^2 T - sinh^2 T != 1; the SU(1,1) defect
+    # is a residual of the extraction, left at zero here
+    checks = solve_checks_of(fake_matrix(1.01 * A, B))
+    assert failing(checks) == {"unitarity_right"}
+    return checks
+
+
+@fails("sign_correspondence")
+def test_reflection_above_one_fails_sign_correspondence():
+    # |b| > |a|: S maps the inside of the disk outside it
+    return solve_checks_of(fake_matrix(B, A))
+
+
+@fails("degenerate_spread")
+def test_reflection_just_above_one_fails_degenerate_spread():
+    # |R| = 1 + 1e-4 takes the degenerate branch, but S still moves by
+    # 1.3e-4 over |Omega| <= 0.6
+    m = fake_matrix(A, B / abs(B) * A * (1.0 + 1e-4))
+    assert blaschke_params(m, tol=CFG.tol).degenerate
+    return solve_checks_of(m)
+
+
+@fails("disk_automorphism")
+def test_wrong_inverse_fails_disk_automorphism(monkeypatch):
+    monkeypatch.setattr(connect, "s_matrix_inverse", lambda m, value: 0j)
+    checks = solve_checks_of(fake_matrix(A, B))
+    assert failing(checks) == {"disk_automorphism"}
+    return checks
+
+
+@fails("global_error")
 def test_phase_rotated_solve_fails_global_error(solved):
     # a common phase of a leaves every modulus and the Blaschke structure
     # intact; only the re-extraction at a finer step tolerance sees it
@@ -52,5 +121,54 @@ def test_phase_rotated_solve_fails_global_error(solved):
     coeffs = scattering_coefficients(m, tol=CFG.tol)
     smap = blaschke_params(m, tol=CFG.tol)
     assert failing(solve_checks(sol.config, m, coeffs, smap)) == set()
-    checks = verify_checks(sol.config, m, coeffs, smap, 128)
-    assert "global_error" in failing(checks)
+    return verify_checks(sol.config, m, coeffs, smap, 128)
+
+
+@fails("cauchy_consistency", "uniform_average")
+def test_too_few_nodes_fail_the_cauchy_checks(solved):
+    # 8 boundary nodes alias the R^8 term: |R|^8 = e^(-4 pi) = 3.5e-6 at theta 1/2
+    checks = verify_checks_of(solved("isp05"), nodes=8)
+    assert failing(checks) == {"cauchy_consistency", "uniform_average"}
+    return checks
+
+
+@fails("mu_covariance_phase")
+def test_mu_independent_solve_fails_mu_covariance_phase(solved, monkeypatch):
+    # mu -> 2 mu must turn R by 2 theta ln 2; a solve that ignores mu does not
+    sol = solved("isp1")
+    monkeypatch.setattr(connect, "transfer_matrix", lambda config: sol.matrix)
+    checks = verify_checks_of(sol)
+    assert failing(checks) == {"mu_covariance_phase"}
+    return checks
+
+
+@fails("mu_covariance_moduli")
+def test_rescaled_amplitudes_fail_mu_covariance_moduli(solved, monkeypatch):
+    # the right phase turn, but |R| and |T| shrink by a factor 1.001
+    sol = solved("isp1")
+    turn = cmath.exp(-2j * sol.config.theta * math.log(2.0))
+    m2 = dataclasses.replace(sol.matrix, a=1.001 * sol.matrix.a, b=sol.matrix.b * turn)
+    monkeypatch.setattr(connect, "transfer_matrix", lambda config: m2)
+    checks = verify_checks_of(sol)
+    assert failing(checks) == {"mu_covariance_moduli"}
+    return checks
+
+
+@fails("current_outgoing")
+def test_wrong_far_current_fails_current_outgoing(solved, monkeypatch):
+    sol = solved("isp1")
+    r_far = sol.matrix.residuals.r_max_used
+    monkeypatch.setattr(suite, "current", lambda s: 2.5 if s.r == r_far else current(s))
+    checks = verify_checks_of(sol)
+    assert failing(checks) == {"current_outgoing"}
+    return checks
+
+
+@fails("current_origin")
+def test_wrong_near_current_fails_current_origin(solved, monkeypatch):
+    sol = solved("isp1")
+    r_near = sol.matrix.residuals.r_min_used
+    monkeypatch.setattr(suite, "current", lambda s: 2.5 if s.r == r_near else current(s))
+    checks = verify_checks_of(sol)
+    assert failing(checks) == {"current_origin"}
+    return checks

@@ -94,7 +94,7 @@ class TestSolve:
         count = itertools.count()
 
         def wandering(config, state):
-            return 1.0 + next(count), 0j
+            return 1.0 + next(count), 0j, 0.0
 
         monkeypatch.setattr(connect, "_project", wandering)
         path = write_config(tmp_path, "unstable.json", tol=1e-6)
@@ -223,6 +223,23 @@ class TestSolve:
         assert rep["coefficients"]["abs_T_squared"] < 1e-5
         spread = next(c for c in rep["checks"] if c["name"] == "degenerate_spread")
         assert spread["status"] == "pass"
+
+    def test_nearly_opaque_barrier_keeps_zero_and_pole(self, tmp_path):
+        # 1 - |R| = 1.2e-5: S still moves by about 2e-5 over |Omega| <= 0.6,
+        # more than degenerate_spread allows at tol 1e-8, so the map is not
+        # reported as a constant
+        barrier = {"name": "gaussian_barrier", "height": 24.0, "center": 2.0, "width": 0.5}
+        path = write_config(
+            tmp_path, "h24.json", p=4.0, l_plus_nu=0.5, tol=1e-8, extra_potential=barrier,
+            **{"lambda": 1.0},
+        )
+        out = tmp_path / "h24_report.json"
+        assert main(["solve", "--config", path, "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        smap = rep["s_matrix_map"]
+        assert smap["degenerate"] is False
+        assert abs(complex(*smap["zero"])) < 1.0 < abs(complex(*smap["pole"]))
+        assert all(c["status"] == "pass" for c in rep["checks"])
 
 
 class TestSweep:

@@ -46,10 +46,10 @@ class TestProjection:
         r = 150.0
         one = eval_asymptotic(cfg, r).state
         two = one.conjugate()
-        c1, c2 = _project(cfg, one)
+        c1, c2, _ = _project(cfg, one)
         assert c1 == pytest.approx(1.0, abs=1e-12)
         assert c2 == pytest.approx(0.0, abs=1e-12)
-        c1, c2 = _project(cfg, two)
+        c1, c2, _ = _project(cfg, two)
         assert c1 == pytest.approx(0.0, abs=1e-12)
         assert c2 == pytest.approx(1.0, abs=1e-12)
 
@@ -224,7 +224,7 @@ class TestStabilization:
         count = itertools.count()
 
         def wandering(config, state):
-            return 1.0 + next(count), 0j
+            return 1.0 + next(count), 0j, 0.0
 
         monkeypatch.setattr(connect, "_project", wandering)
         with pytest.raises(NoStabilization, match=f"after {connect._MAX_LEVELS - 1} doublings"):

@@ -1,12 +1,9 @@
-import cmath
 import math
 
 import mpmath as mp
 import pytest
-import scipy.special
 
-from singscat import complex_gamma, isp_exact
-from singscat.errors import PoleOfGamma
+from singscat import isp_exact
 
 # closed-form reflection amplitudes, frozen from a 30-digit evaluation of
 # -e^(-pi t) 2^(2it) Gamma(1+it)/Gamma(1-it) at k = mu = 1
@@ -15,42 +12,6 @@ R_FROZEN = {
     1.0: complex(-0.030629628795053235, -0.030483906763819406),
     2.0: complex(0.0018562151985256731, -0.00020446880684175615),
 }
-
-
-class TestComplexGamma:
-    def test_gamma_one(self):
-        assert complex_gamma(1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_poles_rejected(self):
-        for z in (0.0, -1.0, -5.0):
-            with pytest.raises(PoleOfGamma):
-                complex_gamma(z)
-
-    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    def test_recurrence_on_strip(self, t):
-        z = complex(1.0, t)
-        lhs = complex_gamma(z + 1.0)
-        rhs = z * complex_gamma(z)
-        assert abs(lhs - rhs) / abs(lhs) < 1e-12
-
-    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-    def test_modulus_identity(self, t):
-        # |Gamma(1+it)|^2 = pi t / sinh(pi t)
-        val = abs(complex_gamma(complex(1.0, t))) ** 2
-        want = math.pi * t / math.sinh(math.pi * t)
-        assert abs(val - want) / want < 1e-12
-
-    def test_reflection(self):
-        z = complex(0.3, 2.2)
-        lhs = complex_gamma(z) * complex_gamma(1.0 - z)
-        rhs = math.pi / cmath.sin(math.pi * z)
-        assert abs(lhs - rhs) / abs(rhs) < 1e-12
-
-    @pytest.mark.parametrize("t", [0.25, 1.0, 3.0, 7.5, 10.0])
-    def test_against_scipy(self, t):
-        z = complex(1.0, t)
-        ref = scipy.special.gamma(z)
-        assert abs(complex_gamma(z) - ref) / abs(ref) < 1e-12
 
 
 class TestIspExact:
