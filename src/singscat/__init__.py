@@ -43,6 +43,8 @@ from .disk import (
 from .integrate import StateVector, StepStats, Trajectory, propagate
 from .model import (
     ExtraPotential,
+    GaussianBarrier,
+    InversePower,
     ProblemConfig,
     ValidatedConfig,
     invariant_callable,
@@ -57,6 +59,8 @@ __all__ = [
     "BasisSample",
     "BlaschkeProduct",
     "ExtraPotential",
+    "GaussianBarrier",
+    "InversePower",
     "IspExactResult",
     "MobiusFit",
     "OMEGA_INFINITY",

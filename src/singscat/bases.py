@@ -45,11 +45,12 @@ from scipy.special import hankel2
 from .errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from .integrate import StateVector
 from .model import (
+    GaussianBarrier,
     ValidatedConfig,
     asymptotic_tail_residual,
     asymptotic_tail_terms,
     origin_perturbation,
-    origin_power_terms,
+    power_terms,
     singularity_phase_error,
 )
 
@@ -212,16 +213,13 @@ def r_min_cap(config: ValidatedConfig) -> float:
     floating point: for p just above 2 a centrifugal term that beats
     lambda / (2n) at r = 1 stays ahead of the core down to radii that
     underflow to 0."""
-    terms = [(abs(c), q) for c, q in origin_power_terms(config)]
-    cf = abs(config.l_plus_nu ** 2 - 0.25)
-    if not config.is_conformal and cf != 0.0:
-        terms.append((cf, 2.0))
+    terms = [(q, abs(c)) for q, c in power_terms(config) if q != config.p]
     ep = config.extra_potential
-    if ep is not None and ep.power_term() is None:
-        terms.append((abs(dict(ep.params)["height"]), 0.0))
+    if isinstance(ep, GaussianBarrier):
+        terms.append((0.0, abs(ep.height)))
     share = 0.5 / len(terms)
     cap = 0.5 * config.r_max
-    for c, q in terms:
+    for q, c in terms:
         if c > 0.0:
             try:
                 bound = (share * config.lam / c) ** (1.0 / (config.p - q))

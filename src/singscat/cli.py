@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -78,9 +79,7 @@ def _jsonify(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _pair(z: complex | None):
-    if z is None:
-        return None
+def _pair(z: complex):
     if math.isinf(abs(z)):
         return "infinity"
     return [z.real, z.imag]
@@ -93,6 +92,8 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, rows)
+    elif isinstance(obj, complex):
+        _flatten(prefix, _pair(obj), rows)
     elif isinstance(obj, float):
         rows.append((prefix, _fmt(obj)))
     elif obj is None:
@@ -132,39 +133,17 @@ def _solve_report(config: ValidatedConfig) -> tuple[dict, tuple]:
     checks = solve_checks(config, m, coeffs, smap)
     elapsed = time.perf_counter() - t0
 
-    res = m.residuals
     derived = {"theta": config.theta, "n_exponent": config.n_exponent}
     report = {
         "config": config.to_dict(),
         "derived": derived,
-        "transfer_matrix": {
-            "a": _pair(m.a),
-            "b": _pair(m.b),
-            "residuals": {
-                "su11_defect": res.su11_defect,
-                "stabilization_diff": res.stabilization_diff,
-                "wronskian_drift": res.wronskian_drift,
-                "basis_trunc": res.basis_trunc,
-                "r_min_used": res.r_min_used,
-                "r_max_used": res.r_max_used,
-                "local_tol": res.local_tol,
-            },
-        },
+        "transfer_matrix": {"a": m.a, "b": m.b, "residuals": asdict(m.residuals)},
         "coefficients": {
-            "R": _pair(coeffs.R),
-            "T": _pair(coeffs.T),
-            "Rp": _pair(coeffs.Rp),
-            "Tp": _pair(coeffs.Tp),
+            **asdict(coeffs),
             "abs_R": abs(coeffs.R),
             "abs_T_squared": abs(coeffs.T) ** 2,
         },
-        "s_matrix_map": {
-            "delta": _pair(smap.delta),
-            "zero": _pair(smap.zero),
-            "pole": _pair(smap.pole),
-            "degenerate": smap.degenerate,
-            "constant": _pair(smap.constant),
-        },
+        "s_matrix_map": asdict(smap),
         "checks": checks,
         "timing": {"seconds": elapsed},
     }

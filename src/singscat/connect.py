@@ -90,11 +90,6 @@ class TransferMatrix:
     b: complex
     residuals: TransferResiduals
 
-    @property
-    def su11_defect_normalized(self) -> float:
-        scale = abs(self.a) ** 2 + abs(self.b) ** 2
-        return self.residuals.su11_defect / max(1.0, scale)
-
 
 @dataclass(frozen=True)
 class ScatteringCoefficients:

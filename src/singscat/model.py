@@ -34,18 +34,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, ClassVar, NamedTuple
 
 from .errors import BadGrid, NonSingular, SubcriticalCoupling
 
 __all__ = [
     "ExtraPotential",
+    "GaussianBarrier",
+    "InversePower",
     "ProblemConfig",
     "ValidatedConfig",
     "validate",
     "normal_invariant",
     "invariant_callable",
+    "power_terms",
     "asymptotic_tail_terms",
     "asymptotic_tail_residual",
     "OriginPerturbation",
@@ -61,91 +64,106 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
 class ExtraPotential:
-    """Smooth additional potential term W(r).
+    """Smooth additional potential term W(r): a :class:`GaussianBarrier` or
+    an :class:`InversePower`.
 
-    Supported built-ins:
-
-    ``gaussian_barrier``
-        W(r) = height * exp(-((r - center)/width)^2).  Used e.g. to
-        construct near-total-reflection configurations.
-    ``inverse_power``
-        W(r) = coefficient * r^(-exponent) with 2 < exponent < p/2 + 1,
-        so the term stays short-range at infinity and leaves a convergent
-        phase imprint at the origin.
-
-    Parameters live in :attr:`params`; descriptors round-trip through the
-    JSON config as ``{"name": ..., <param>: <value>, ...}``.
+    Each kind bounds what the bases leave out of W: ``tail_integral(r)``
+    over (r, infinity) and ``origin_phase(r, lam, p)`` over (0, r).  A
+    power law leaves nothing out; its ``power_term`` joins the terms of
+    :func:`power_terms` instead.  Descriptors round-trip through the JSON
+    config as ``{"name": ..., <field>: <value>, ...}``, with exactly the
+    kind's fields.
     """
 
-    name: str
-    params: tuple[tuple[str, float], ...]
+    name: ClassVar[str]
 
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "ExtraPotential":
+    @staticmethod
+    def from_descriptor(desc: dict) -> "ExtraPotential":
         if not isinstance(desc, dict) or "name" not in desc:
             raise BadGrid("extra_potential descriptor must be a dict with a 'name'")
         name = desc["name"]
-        params = {}
-        for key, v in desc.items():
-            if key == "name":
-                continue
+        kind = _KINDS.get(name) if isinstance(name, str) else None
+        if kind is None:
+            raise BadGrid(f"unknown extra_potential {name!r}")
+        keys = [f.name for f in fields(kind)]
+        if set(desc) != {"name", *keys}:
+            raise BadGrid(f"{kind.name} needs exactly the keys {sorted(keys)}, got "
+                          f"{sorted(set(desc) - {'name'})}")
+        for key in keys:
+            v = desc[key]
             if not _is_number(v) or not math.isfinite(v):
                 raise BadGrid(f"extra_potential {key} must be a finite number, got {v!r}")
-            params[key] = float(v)
-        if name == "gaussian_barrier":
-            missing = {"height", "center", "width"} - set(params)
-            if missing:
-                raise BadGrid(f"gaussian_barrier needs {sorted(missing)}")
-            if params["width"] <= 0:
-                raise BadGrid("gaussian_barrier width must be positive")
-        elif name == "inverse_power":
-            missing = {"coefficient", "exponent"} - set(params)
-            if missing:
-                raise BadGrid(f"inverse_power needs {sorted(missing)}")
-            if params["exponent"] <= 2:
-                raise BadGrid("inverse_power exponent must exceed 2 (short range)")
-        else:
-            raise BadGrid(f"unknown extra_potential '{name}'")
-        return cls(name=name, params=tuple(sorted(params.items())))
+        return kind(**{key: float(desc[key]) for key in keys})
 
     def to_descriptor(self) -> dict:
-        out: dict = {"name": self.name}
-        out.update(dict(self.params))
-        return out
+        return {"name": self.name, **dict(sorted(asdict(self).items()))}
 
-    def _p(self, key: str) -> float:
-        return dict(self.params)[key]
+
+@dataclass(frozen=True)
+class GaussianBarrier(ExtraPotential):
+    """W(r) = height * exp(-((r - center)/width)^2).  Used e.g. to construct
+    near-total-reflection configurations."""
+
+    height: float
+    center: float
+    width: float
+    name: ClassVar[str] = "gaussian_barrier"
+
+    def __post_init__(self):
+        if self.width <= 0:
+            raise BadGrid("gaussian_barrier width must be positive")
 
     def value(self, r: float) -> float:
-        if self.name == "gaussian_barrier":
-            h, c, w = self._p("height"), self._p("center"), self._p("width")
-            return h * math.exp(-(((r - c) / w) ** 2))
-        coef, q = self._p("coefficient"), self._p("exponent")
-        return coef * r ** (-q)
+        return self.height * math.exp(-(((r - self.center) / self.width) ** 2))
+
+    def power_term(self) -> None:
+        return None
 
     def tail_integral(self, r: float) -> float:
-        """Upper bound on the integral of |W| over (r, infinity) for the
-        Gaussian barrier; power-law W is in the far-field series instead."""
-        h, c, w = abs(self._p("height")), self._p("center"), self._p("width")
-        return h * w * _SQRT_PI / 2.0 * math.erfc((r - c) / w)
+        """Upper bound on the integral of |W| over (r, infinity)."""
+        w = self.width
+        return abs(self.height) * w * _SQRT_PI / 2.0 * math.erfc((r - self.center) / w)
 
     def origin_phase(self, r: float, lam: float, p: float) -> float:
-        """Bound on the WKB phase integral of |W| / (2 sqrt(J)) over (0, r)
-        for the Gaussian barrier, whose |W| stays below its height.
+        """Bound on the WKB phase integral of |W| / (2 sqrt(J)) over (0, r),
+        with |W| there at most its value at the point of (0, r) nearest
+        the center."""
+        d = max(0.0, self.center - r, -self.center)
+        peak = abs(self.height) * math.exp(-((d / self.width) ** 2))
+        return peak * r ** (p / 2.0 + 1.0) / (2.0 * math.sqrt(lam) * (p / 2.0 + 1.0))
 
-        Power-law W has no such bound term: the near-origin basis carries
-        its imprint (see :func:`origin_perturbation`).
-        """
-        h = abs(self._p("height"))
-        return h * r ** (p / 2.0 + 1.0) / (2.0 * math.sqrt(lam) * (p / 2.0 + 1.0))
 
-    def power_term(self) -> tuple[float, float] | None:
-        """(c, q) such that -W = c r^(-q), for power-law W; None otherwise."""
-        if self.name != "inverse_power":
-            return None
-        return (-self._p("coefficient"), self._p("exponent"))
+@dataclass(frozen=True)
+class InversePower(ExtraPotential):
+    """W(r) = coefficient * r^(-exponent) with 2 < exponent < p/2 + 1, so the
+    term stays short-range at infinity and leaves a convergent phase
+    imprint at the origin; both bases carry it, through its
+    :meth:`power_term`."""
+
+    coefficient: float
+    exponent: float
+    name: ClassVar[str] = "inverse_power"
+
+    def __post_init__(self):
+        if self.exponent <= 2:
+            raise BadGrid("inverse_power exponent must exceed 2 (short range)")
+
+    def value(self, r: float) -> float:
+        return self.coefficient * r ** (-self.exponent)
+
+    def power_term(self) -> tuple[float, float]:
+        """(q, c) such that -W = c r^(-q)."""
+        return (self.exponent, -self.coefficient)
+
+    def tail_integral(self, r: float) -> float:
+        return 0.0
+
+    def origin_phase(self, r: float, lam: float, p: float) -> float:
+        return 0.0
+
+
+_KINDS = {kind.name: kind for kind in (GaussianBarrier, InversePower)}
 
 
 @dataclass(frozen=True)
@@ -295,23 +313,21 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         if config.mu <= 0.0:
             raise BadGrid(f"p=2 requires mu > 0, got {config.mu}")
         theta = math.sqrt(config.lam - 0.25)
-        if config.extra_potential is not None and config.extra_potential.name == "inverse_power":
-            raise BadGrid("inverse_power extra potential needs exponent < p, impossible at p=2")
     else:
         n_exponent = config.p - 2.0
-        ep = config.extra_potential
-        if ep is not None and ep.name == "inverse_power":
-            # beyond p/2 + 1 the near-origin phase integral of W diverges
-            # and the matching basis loses its meaning, even though W is
-            # still subdominant in J itself
-            if dict(ep.params)["exponent"] >= config.p / 2.0 + 1.0:
-                raise BadGrid(
-                    "inverse_power exponent must stay below p/2 + 1 "
-                    "(convergent near-origin phase)"
-                )
 
     given = {f.name: getattr(config, f.name) for f in fields(ProblemConfig)}
-    return ValidatedConfig(**given, theta=theta, n_exponent=n_exponent)
+    valid = ValidatedConfig(**given, theta=theta, n_exponent=n_exponent)
+    # only the core may reach q >= p/2 + 1: for any other term the
+    # near-origin phase integral then diverges and the matching basis
+    # loses its meaning, even though the term is still subdominant in J
+    # itself.  At p = 2 this leaves no room for a power-law W.
+    if sum(q >= config.p / 2.0 + 1.0 for q, _ in power_terms(valid)) > 1:
+        raise BadGrid(
+            "inverse_power exponent must stay below p/2 + 1 "
+            "(convergent near-origin phase)"
+        )
+    return valid
 
 
 def normal_invariant(config: ValidatedConfig, r: float) -> float:
@@ -352,28 +368,33 @@ def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:
     return j
 
 
-def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
-    """Power-law terms (alpha, g) of J - k^2 ~ sum g r^(-alpha) at their real
-    exponents, in increasing alpha: the core, the centrifugal term and an
-    ``inverse_power`` W.  A Gaussian barrier is in :func:`asymptotic_tail_residual`."""
-    if config.theta is not None:
-        terms = [(2.0, config.lam)]  # theta^2 + 1/4
-    else:
-        terms = [(2.0, -(config.l_plus_nu ** 2 - 0.25)), (config.p, config.lam)]
+def power_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
+    """The power-law terms (q, c) of J = sum c r^(-q), nonzero c only, in
+    increasing q: k^2 (q = 0), for p > 2 the centrifugal term (q = 2), a
+    power-law W (2 < q < p/2 + 1) and the core (q = p).  At p = 2 the core
+    holds the centrifugal term.  A Gaussian W is not a power law and
+    enters through its own bounds instead."""
+    terms = [(0.0, config.k ** 2), (config.p, config.lam)]
+    if not config.is_conformal:
+        terms.append((2.0, -(config.l_plus_nu ** 2 - 0.25)))
     w = config.extra_potential.power_term() if config.extra_potential else None
     if w is not None:
-        terms.append((w[1], w[0]))  # 2 < exponent < p: no exponent repeats
-    return tuple(sorted((a, g) for a, g in terms if g != 0.0))
+        terms.append(w)
+    return tuple(sorted(t for t in terms if t[1] != 0.0))
+
+
+def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
+    """Power-law terms (alpha, g) of J - k^2 ~ sum g r^(-alpha), in
+    increasing alpha: every term of :func:`power_terms` but k^2.  A
+    Gaussian barrier is in :func:`asymptotic_tail_residual`."""
+    return tuple(t for t in power_terms(config) if t[0] > 0.0)
 
 
 def asymptotic_tail_residual(config: ValidatedConfig, r: float) -> float:
-    """Phase-error bound at radius r from a Gaussian barrier, the one part
-    of J - k^2 that the far-field correction series does not represent;
-    zero otherwise."""
+    """Phase-error bound at radius r from the part of W that the far-field
+    correction series does not represent: a Gaussian barrier's tail."""
     ep = config.extra_potential
-    if ep is None or ep.power_term() is not None:
-        return 0.0
-    return ep.tail_integral(r) / (2.0 * config.k)
+    return ep.tail_integral(r) / (2.0 * config.k) if ep else 0.0
 
 
 class OriginPerturbation(NamedTuple):
@@ -391,11 +412,11 @@ class OriginPerturbation(NamedTuple):
 
 
 def origin_power_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
-    """Power-law terms (c, q) of P(r) = sum c r^(-q), the part of J beyond
-    the core that the near-origin basis does not solve exactly: k^2
-    (q = 0) and an ``inverse_power`` W (c = -coefficient)."""
-    w = config.extra_potential.power_term() if config.extra_potential else None
-    return ((config.k ** 2, 0.0),) if w is None else ((config.k ** 2, 0.0), w)
+    """Power-law terms (q, c) of P(r) = sum c r^(-q), the part of J beyond
+    the core that the p > 2 near-origin basis does not solve exactly: the
+    terms of :func:`power_terms` but the core and the centrifugal term,
+    that is k^2 (q = 0) and a power-law W (c = -coefficient)."""
+    return tuple(t for t in power_terms(config) if t[0] not in (2.0, config.p))
 
 
 def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation:
@@ -432,7 +453,7 @@ def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation
     hankel = abs(4.0 * eta * eta - 1.0) * n * n / (32.0 * lam)  # |4 eta^2 - 1| / (8 z^2 r^n)
     terms = origin_power_terms(config)
     delta = ddelta = x = dx = remainder = 0.0
-    for c, q in terms:
+    for q, c in terms:
         e = p / 2.0 - q + 1.0
         rate = c * r ** (e - 1.0) / (2.0 * sl)  # P-term / (2 sqrt(J_core))
         ddelta -= rate
@@ -443,7 +464,7 @@ def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation
         remainder += abs(xi) / 4.0
         curvature = abs((p - q) * (p - q - 1.0)) / 4.0 + p * (p - q) / 8.0
         remainder += abs(c) * (hankel + curvature / (2.0 * lam)) * r ** (e + n) / (sl * (e + n))
-        for c2, q2 in terms:
+        for q2, c2 in terms:
             e2 = 1.5 * p - q - q2 + 1.0
             remainder += abs(c * c2) * r ** e2 / (8.0 * lam * sl * e2)
     amp = (1.0 + x) ** -0.25
@@ -460,7 +481,7 @@ def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
     p > 2 the basis carries the first-order imprint of k^2 and of a
     power-law W, so what enters is the remainder bound of
     :func:`origin_perturbation`; a Gaussian barrier, not a power law,
-    still enters as its uncorrected phase.
+    still enters as its uncorrected phase (``origin_phase``).
     """
     if config.theta is not None:
         root = math.sqrt(config.lam)
@@ -468,6 +489,6 @@ def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
     else:
         est = origin_perturbation(config, r).remainder
     ep = config.extra_potential
-    if ep is not None and ep.power_term() is None:
+    if ep is not None:
         est += ep.origin_phase(r, config.lam, config.p)
     return est

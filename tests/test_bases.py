@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from singscat import (
     ExtraPotential,
+    GaussianBarrier,
     ProblemConfig,
     current,
     eval_asymptotic,
@@ -48,7 +49,7 @@ def reference_integer_coefficients(cfg):
             terms[2] = -cf
         terms[int(cfg.p)] = terms.get(int(cfg.p), 0.0) + cfg.lam
     if cfg.extra_potential is not None:
-        g, q = cfg.extra_potential.power_term()
+        q, g = cfg.extra_potential.power_term()
         terms[int(q)] = terms.get(int(q), 0.0) + g
     terms = sorted((m, g) for m, g in terms.items() if g != 0.0)
     s = [1.0 + 0j]
@@ -306,6 +307,14 @@ class TestRegionSelection:
             if r > 2.0 * r_min_cap(cfg):
                 assert eval_asymptotic(cfg, r / 1.003, raise_on_error=False).trunc_error > target
         assert choose_r_max_start(self.FLOORED) == 2.0 * r_min_cap(self.FLOORED)
+
+    def test_barrier_far_from_origin_keeps_r_min(self):
+        # a Gaussian barrier 4 widths out of r_min weighs only its value
+        # there in the near-origin bound, not its height of 20
+        bare = dict(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-10)
+        barrier = GaussianBarrier(height=20.0, center=2.0, width=0.5)
+        r_bare = choose_r_min(validate(ProblemConfig(**bare)))
+        assert choose_r_min(validate(ProblemConfig(**bare, extra_potential=barrier))) >= 0.5 * r_bare
 
     def test_r_max_is_searched_inward(self):
         # config.r_max = 60 is a starting point: where the far series is

@@ -72,11 +72,10 @@ def test_every_check_has_a_test_that_fails_it(solved):
     assert FAILED_BY.keys() - emitted == set(), "tests of checks that are not emitted"
 
 
-@fails("su11", "su11_normalized")
+@fails("su11")
 def test_su11_defect_fails_su11():
     checks = solve_checks_of(with_residuals(su11_defect=1e3 * CFG.tol))
-    # |a|^2 + |b|^2 = cosh(2T) < 10, so the normalized defect fails too
-    assert failing(checks) == {"su11", "su11_normalized"}
+    assert failing(checks) == {"su11"}
     return checks
 
 

@@ -155,8 +155,12 @@ class TestSolve:
                 "name": "inverse_power", "coefficient": math.inf, "exponent": 2.5}},
             {"p": 4.0, "l_plus_nu": 0.5, "extra_potential": {
                 "name": "gaussian_barrier", "height": "tall", "center": 3.0, "width": 1.1}},
+            {"p": 4.0, "l_plus_nu": 0.5, "extra_potential": {
+                "name": "gaussian_barrier", "height": 1, "center": 2, "width": 0.5,
+                "exponent": 3, "heigth": 9}},
         ],
-        ids=["k-str", "lambda-list", "tol-bool", "height-nan", "coefficient-inf", "height-str"],
+        ids=["k-str", "lambda-list", "tol-bool", "height-nan", "coefficient-inf", "height-str",
+             "stray-keys"],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path, "malformed.json", **overrides)

@@ -2,7 +2,17 @@ import math
 
 import pytest
 
-from singscat import ExtraPotential, ProblemConfig, ValidatedConfig, normal_invariant, validate
+from scipy.integrate import quad
+
+from singscat import (
+    ExtraPotential,
+    GaussianBarrier,
+    InversePower,
+    ProblemConfig,
+    ValidatedConfig,
+    normal_invariant,
+    validate,
+)
 from singscat.errors import BadGrid, NonSingular, SubcriticalCoupling
 from singscat.model import invariant_callable
 
@@ -67,6 +77,8 @@ class TestValidate:
             ExtraPotential.from_descriptor({"name": "inverse_power", "coefficient": 1.0, "exponent": 1.5})
         with pytest.raises(BadGrid):
             ExtraPotential.from_descriptor({"name": "no_such_potential"})
+        with pytest.raises(BadGrid):
+            ExtraPotential.from_descriptor({"name": ["inverse_power"]})
 
 
 class TestNormalInvariant:
@@ -192,3 +204,23 @@ class TestExtraPotential:
             {"name": "inverse_power", "coefficient": 0.3, "exponent": 3.0}
         )
         assert ep.value(2.0) == pytest.approx(0.3 / 8.0)
+        assert ep == InversePower(coefficient=0.3, exponent=3.0)
+        assert (ep.tail_integral(1.0), ep.origin_phase(1.0, 1.0, 4.0)) == (0.0, 0.0)
+
+    def test_descriptor_needs_exactly_the_kind_fields(self):
+        desc = {"name": "gaussian_barrier", "height": 1, "center": 2, "width": 0.5}
+        ep = ExtraPotential.from_descriptor(desc)
+        assert ep == GaussianBarrier(height=1.0, center=2.0, width=0.5)
+        assert list(ep.to_descriptor()) == ["name", "center", "height", "width"]
+        for stray in ({"exponent": 3}, {"heigth": 9}):
+            with pytest.raises(BadGrid, match="exactly the keys"):
+                ExtraPotential.from_descriptor({**desc, **stray})
+
+    @pytest.mark.parametrize("center", [-1.0, 0.3, 2.0])
+    def test_gaussian_origin_phase_bounds_its_integral(self, center):
+        # the WKB phase of |W| / (2 sqrt(lambda r^-p)) over (0, r)
+        ep = GaussianBarrier(height=-20.0, center=center, width=0.5)
+        lam, p = 2.0, 3.0
+        for r in (0.1, 0.5, 1.5):
+            exact = quad(lambda s: abs(ep.value(s)) * s ** (p / 2) / (2.0 * math.sqrt(lam)), 0.0, r)[0]
+            assert exact <= ep.origin_phase(r, lam, p)

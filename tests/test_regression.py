@@ -32,6 +32,8 @@ GOLDEN = {
                 complex(0.18629672183515994, -0.1862967218313637)),
     "degenerate_barrier": (complex(2629.9130440733666, 3213.489481110444),
                            complex(40.027237057183186, 4152.270955138678)),
+    "gaussian_barrier": (complex(-1.1627159214950944, -1.081569553917947),
+                         complex(-0.9148369756226604, -0.8275109196221762)),
     "core_k0.7": (complex(0.44041658985856624, -0.9708573711719812),
                   complex(0.26127648912531615, -0.26127648945406573)),
     "core_k1.5": (complex(-0.060680209084130125, -1.0124367225273851),
