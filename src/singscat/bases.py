@@ -25,7 +25,7 @@ Near the origin (r -> 0):
             (r^(p/4)/lambda^(1/4)) exp(-2i sqrt(lambda) r^(-n/2)/n).  The
             factor A e^(-i delta) carries the first-order WKB amplitude and
             phase imprint of k^2 and of a power-law W
-            (:func:`singscat.model.origin_perturbation`); only the
+            (:func:`singscat.bases.origin_perturbation`); only the
             remainder of that expansion and a Gaussian barrier's phase
             enter the truncation estimate.
 
@@ -44,20 +44,15 @@ from scipy.special import hankel2
 
 from .errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from .integrate import StateVector
-from .model import (
-    GaussianBarrier,
-    ValidatedConfig,
-    asymptotic_tail_residual,
-    asymptotic_tail_terms,
-    origin_perturbation,
-    power_terms,
-    singularity_phase_error,
-)
+from .model import GaussianBarrier, ValidatedConfig, power_terms
 
 __all__ = [
     "BasisSample",
+    "OriginPerturbation",
     "eval_asymptotic",
     "eval_singularity",
+    "origin_perturbation",
+    "singularity_phase_error",
     "choose_r_min",
     "r_min_cap",
     "choose_r_max_start",
@@ -88,7 +83,7 @@ def _series_coefficients(config: ValidatedConfig) -> tuple[tuple[int, float, com
     alpha - 1 >= 1 of the tail terms g r^(-alpha), and the equation gives
     2 i k gamma s_gamma = (gamma - 1) gamma s_(gamma-1) + sum g s_(gamma+1-alpha).
     """
-    terms = asymptotic_tail_terms(config)
+    terms = [t for t in power_terms(config) if t[0] > 0.0]  # those of J - k^2
     steps = {1.0, *(a - 1.0 for a, _ in terms)}
     cap = _MAX_SERIES_ORDER + 2
     found = frontier = {0.0}
@@ -146,7 +141,9 @@ def eval_asymptotic(
         df_band += e * c * r ** (e - 1.0)
         mag += abs(t)
 
-    est = omitted / max(abs(f), 1e-12) + asymptotic_tail_residual(config, r)
+    est = omitted / max(abs(f), 1e-12)
+    if config.extra_potential:  # a Gaussian barrier's tail; a power law leaves none
+        est += config.extra_potential.tail_integral(r) / (2.0 * k)
     if raise_on_error and est > config.tol:
         raise AsymptoticRegionTooClose(
             f"far-field truncation estimate {est:.3e} > tol {config.tol:.1e} "
@@ -160,6 +157,110 @@ def eval_asymptotic(
     return BasisSample(StateVector(r, u1, du1), est)
 
 
+class OriginPerturbation(NamedTuple):
+    """First-order correction of the p > 2 near-origin basis at one radius.
+
+    The corrected basis is the Hankel solution of the core times
+    ``amp * exp(-i delta)``; ``remainder`` bounds what it still misses.
+    """
+
+    delta: float
+    ddelta: float
+    amp: float
+    damp: float
+    remainder: float
+
+
+def _hankel_order(config: ValidatedConfig) -> float:
+    """Order eta = 2|l+nu|/n of the p > 2 Hankel basis, which absorbs the
+    centrifugal term."""
+    return 2.0 * abs(config.l_plus_nu) / config.n_exponent
+
+
+def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation:
+    """Phase imprint, amplitude factor and remainder bound of the
+    power-law terms P(r) = sum c r^(-q) on the p > 2 near-origin basis at
+    r: the terms of J but the core and the centrifugal term, that is k^2
+    (q = 0) and a power-law W (c = -coefficient).
+
+    The Hankel basis solves J_core = lambda r^(-p) - cf/r^2 exactly.  To
+    first order in P the solution of the full equation is that basis times
+    the WKB amplitude factor (1 + P r^p / lambda)^(-1/4) and the phase
+    factor exp(-i delta), with
+
+        delta = -sum c r^e / (2 sqrt(lambda) e),     e = p/2 - q + 1 > 0,
+
+    the phase integral of P / (2 sqrt(J_core)) over (0, r).  The
+    remainder bound adds, conservatively,
+
+    * the amplitude-order term sum |c| r^(p-q) / (4 lambda);
+    * the second-order phase: the integral of P^2 r^(3p/2) / (8 lambda^1.5);
+    * the phase that the residual of the corrected basis in the full
+      equation imprints: for each term x = c r^(p-q) / lambda that
+      residual is about C x / r^2 with C = |(p-q)(p-q-1)| / 4 + p(p-q) / 8,
+      from the curvature of the amplitude factor, and its effect grows
+      like r^(p/2 - 1) times the amplitude-order term, so it dominates
+      only at loose tol;
+    * the error of taking |u_Hankel|^2 = r^(p/2) / sqrt(lambda) inside the
+      phase integrals, twice the first term (4 eta^2 - 1) / (8 z^2) of the
+      asymptotic expansion of the Hankel modulus (zero for p = 4,
+      l+nu = 1/2).
+    """
+    lam, p = config.lam, config.p
+    sl = math.sqrt(lam)
+    n = config.n_exponent
+    eta = _hankel_order(config)
+    hankel = abs(4.0 * eta * eta - 1.0) * n * n / (32.0 * lam)  # |4 eta^2 - 1| / (8 z^2 r^n)
+    terms = [t for t in power_terms(config) if t[0] not in (2.0, p)]
+    delta = ddelta = x = dx = remainder = 0.0
+    for q, c in terms:
+        e = p / 2.0 - q + 1.0
+        rate = c * r ** (e - 1.0) / (2.0 * sl)  # P-term / (2 sqrt(J_core))
+        ddelta -= rate
+        delta -= rate * r / e
+        xi = c * r ** (p - q) / lam
+        x += xi
+        dx += (p - q) * xi / r
+        remainder += abs(xi) / 4.0
+        curvature = abs((p - q) * (p - q - 1.0)) / 4.0 + p * (p - q) / 8.0
+        remainder += abs(c) * (hankel + curvature / (2.0 * lam)) * r ** (e + n) / (sl * (e + n))
+        for q2, c2 in terms:
+            e2 = 1.5 * p - q - q2 + 1.0
+            remainder += abs(c * c2) * r ** e2 / (8.0 * lam * sl * e2)
+    amp = (1.0 + x) ** -0.25
+    damp = -0.25 * amp * dx / (1.0 + x)
+    return OriginPerturbation(delta, ddelta, amp, damp, remainder)
+
+
+def _near_origin(config: ValidatedConfig, r: float) -> tuple[OriginPerturbation | None, float]:
+    """The p > 2 perturbation at r (None for p = 2) and the bound of
+    :func:`singularity_phase_error` built from it."""
+    if config.theta is not None:
+        pert = None
+        est = config.k ** 2 * r * r / (4.0 * math.sqrt(config.lam))
+    else:
+        pert = origin_perturbation(config, r)
+        est = pert.remainder
+    ep = config.extra_potential
+    if ep is not None:
+        est += ep.origin_phase(r, config.lam, config.p)
+    return pert, est
+
+
+def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
+    """Error bound for initializing with the near-origin basis at r.
+
+    For p = 2 it collects the WKB phase contributions over (0, r) of the
+    terms of J that the basis does not resolve, k^2 and W (the
+    centrifugal term is absorbed into the effective coupling).  For
+    p > 2 the basis carries the first-order imprint of k^2 and of a
+    power-law W, so what enters is the remainder bound of
+    :func:`origin_perturbation`; a Gaussian barrier, not a power law,
+    still enters as its uncorrected phase (``origin_phase``).
+    """
+    return _near_origin(config, r)[1]
+
+
 def eval_singularity(
     config: ValidatedConfig, r: float, *, raise_on_error: bool = True
 ) -> BasisSample:
@@ -170,7 +271,7 @@ def eval_singularity(
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    est = singularity_phase_error(config, r)
+    pert, est = _near_origin(config, r)
     if raise_on_error and est > config.tol:
         raise SingularRegionTooFar(
             f"near-origin truncation estimate {est:.3e} > tol {config.tol:.1e} at r={r}"
@@ -185,7 +286,7 @@ def eval_singularity(
     else:
         n = config.n_exponent
         lam = config.lam
-        order = 2.0 * abs(config.l_plus_nu) / n  # absorbs the centrifugal term
+        order = _hankel_order(config)
         z = (2.0 * math.sqrt(lam) / n) * r ** (-n / 2.0)
         dz = -math.sqrt(lam) * r ** (-config.p / 2.0)
         h = complex(hankel2(order, z))
@@ -195,7 +296,6 @@ def eval_singularity(
         sqr = math.sqrt(r)
         u = pref * sqr * h
         du = pref * (h / (2.0 * sqr) + sqr * dh * dz)
-        pert = origin_perturbation(config, r)
         phase = cmath.exp(-1j * pert.delta)
         du = (du * pert.amp + u * (pert.damp - 1j * pert.ddelta * pert.amp)) * phase
         u = u * pert.amp * phase

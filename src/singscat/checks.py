@@ -137,7 +137,7 @@ def verify_checks(
     checks.append(_check("uniform_average", abs(avg - coeffs.Rp), 10.0 * tol))
 
     if config.is_conformal and not smap.degenerate:
-        m2 = connect.transfer_matrix(config.with_mu(2.0 * config.mu))
+        m2 = connect.transfer_matrix(config.replaced(mu=2.0 * config.mu))
         c2 = connect.scattering_coefficients(m2)
         shift = _wrap_angle(
             cmath.phase(c2.R / coeffs.R) - 2.0 * config.theta * math.log(2.0)

@@ -185,13 +185,11 @@ def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
         values = np.linspace(start, stop, count)
         for v in values:
             if args.axis == "k":
-                sub = validate(ProblemConfig.from_dict({**config.to_dict(), "k": float(v)}))
+                sub = config.replaced(k=float(v))
             else:
                 if not config.is_conformal:
                     raise BadGrid("theta sweep requires a p=2 configuration")
-                d = config.to_dict()
-                d["lambda"] = float(v) ** 2 + 0.25
-                sub = validate(ProblemConfig.from_dict(d))
+                sub = config.replaced(lam=float(v) ** 2 + 0.25)
             m = connect.transfer_matrix(sub)
             s = connect.s_matrix(m, omega0)
             rows.append((float(v), omega0, s, sub.tol))

@@ -1,4 +1,6 @@
-"""Problem definition and the invariant coefficient of the governing equation.
+"""The scattering problem only: its config schema, the kinds of W, the
+invariant coefficient J and its power-law terms.  The wave bases and the
+bounds on what they leave out of J are in :mod:`singscat.bases`.
 
 A scattering problem is the linear second-order equation in normal form
 
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, ClassVar, NamedTuple
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Callable, ClassVar
 
 from .errors import BadGrid, NonSingular, SubcriticalCoupling
 
@@ -49,12 +51,6 @@ __all__ = [
     "normal_invariant",
     "invariant_callable",
     "power_terms",
-    "asymptotic_tail_terms",
-    "asymptotic_tail_residual",
-    "OriginPerturbation",
-    "origin_power_terms",
-    "origin_perturbation",
-    "singularity_phase_error",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -206,28 +202,24 @@ class ProblemConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemConfig":
-        d = dict(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        ep = d.get("extra_potential")
-        if ep is not None:
-            d["extra_potential"] = ExtraPotential.from_descriptor(ep)
-        known = {
-            "p", "lam", "k", "l_plus_nu", "mu", "extra_potential",
-            "r_min", "r_max", "tol",
-        }
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise BadGrid(f"a config must be a JSON object, got {d!r}")
+        unknown = set(d) - set(_SCHEMA)
         if unknown:
             raise BadGrid(f"unknown config fields: {sorted(unknown)}")
-        for req in ("p", "lam", "k"):
-            if req not in d:
-                name = "lambda" if req == "lam" else req
-                raise BadGrid(f"missing required config field '{name}'")
-        for key, value in d.items():
-            if key != "extra_potential" and not _is_number(value):
-                name = "lambda" if key == "lam" else key
-                raise BadGrid(f"{name} must be a number, got {value!r}")
-        return ProblemConfig(**d)  # only validate() makes a ValidatedConfig
+        given = {}
+        for key, f in _SCHEMA.items():
+            if key not in d:
+                if f.default is MISSING:
+                    raise BadGrid(f"missing required config field '{key}'")
+                continue
+            value = d[key]
+            if f.name == "extra_potential":
+                value = None if value is None else ExtraPotential.from_descriptor(value)
+            elif not _is_number(value):
+                raise BadGrid(f"{key} must be a number, got {value!r}")
+            given[f.name] = value
+        return ProblemConfig(**given)  # only validate() makes a ValidatedConfig
 
     @classmethod
     def from_json(cls, path: str) -> "ProblemConfig":
@@ -235,18 +227,14 @@ class ProblemConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        ep = self.extra_potential.to_descriptor() if self.extra_potential else None
-        return {
-            "p": self.p,
-            "lambda": self.lam,
-            "k": self.k,
-            "l_plus_nu": self.l_plus_nu,
-            "mu": self.mu,
-            "extra_potential": ep,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "tol": self.tol,
-        }
+        d = {key: getattr(self, f.name) for key, f in _SCHEMA.items()}
+        if self.extra_potential:
+            d["extra_potential"] = self.extra_potential.to_descriptor()
+        return d
+
+
+#: JSON key -> field of :class:`ProblemConfig`; only ``lam`` is renamed.
+_SCHEMA = {{"lam": "lambda"}.get(f.name, f.name): f for f in fields(ProblemConfig)}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -256,7 +244,7 @@ class ValidatedConfig(ProblemConfig):
 
     ``theta`` is set for p = 2 (theta^2 = lam - 1/4) and ``n_exponent``
     for p > 2 (n = p - 2).  A changed copy must pass :func:`validate`
-    again, as in :meth:`with_mu`, so that these stay derived.
+    again, as in :meth:`replaced`, so that these stay derived.
     """
 
     theta: float | None
@@ -266,8 +254,8 @@ class ValidatedConfig(ProblemConfig):
     def is_conformal(self) -> bool:
         return self.theta is not None
 
-    def with_mu(self, mu: float) -> "ValidatedConfig":
-        return validate(replace(self, mu=mu))
+    def replaced(self, **changes) -> "ValidatedConfig":
+        return validate(replace(self, **changes))
 
 
 def validate(config: ProblemConfig) -> ValidatedConfig:
@@ -283,13 +271,10 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     BadGrid
         Non-finite or inconsistent radii, tolerances or parameters.
     """
-    for name, value in (
-        ("p", config.p), ("lambda", config.lam), ("k", config.k), ("tol", config.tol),
-        ("mu", config.mu), ("l_plus_nu", config.l_plus_nu), ("r_min", config.r_min),
-        ("r_max", config.r_max),
-    ):
-        if not math.isfinite(value):
-            raise BadGrid(f"{name} must be finite, got {value}")
+    for key, f in _SCHEMA.items():
+        value = getattr(config, f.name)
+        if f.name != "extra_potential" and not math.isfinite(value):
+            raise BadGrid(f"{key} must be finite, got {value}")
     if not (config.p >= 2.0):
         raise BadGrid(f"p must satisfy p >= 2, got {config.p}")
     if config.lam <= 0.0:
@@ -381,114 +366,3 @@ def power_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
     if w is not None:
         terms.append(w)
     return tuple(sorted(t for t in terms if t[1] != 0.0))
-
-
-def asymptotic_tail_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
-    """Power-law terms (alpha, g) of J - k^2 ~ sum g r^(-alpha), in
-    increasing alpha: every term of :func:`power_terms` but k^2.  A
-    Gaussian barrier is in :func:`asymptotic_tail_residual`."""
-    return tuple(t for t in power_terms(config) if t[0] > 0.0)
-
-
-def asymptotic_tail_residual(config: ValidatedConfig, r: float) -> float:
-    """Phase-error bound at radius r from the part of W that the far-field
-    correction series does not represent: a Gaussian barrier's tail."""
-    ep = config.extra_potential
-    return ep.tail_integral(r) / (2.0 * config.k) if ep else 0.0
-
-
-class OriginPerturbation(NamedTuple):
-    """First-order correction of the p > 2 near-origin basis at one radius.
-
-    The corrected basis is the Hankel solution of the core times
-    ``amp * exp(-i delta)``; ``remainder`` bounds what it still misses.
-    """
-
-    delta: float
-    ddelta: float
-    amp: float
-    damp: float
-    remainder: float
-
-
-def origin_power_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:
-    """Power-law terms (q, c) of P(r) = sum c r^(-q), the part of J beyond
-    the core that the p > 2 near-origin basis does not solve exactly: the
-    terms of :func:`power_terms` but the core and the centrifugal term,
-    that is k^2 (q = 0) and a power-law W (c = -coefficient)."""
-    return tuple(t for t in power_terms(config) if t[0] not in (2.0, config.p))
-
-
-def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation:
-    """Phase imprint, amplitude factor and remainder bound of the
-    power-law terms P(r) on the p > 2 near-origin basis at r.
-
-    The Hankel basis solves J_core = lambda r^(-p) - cf/r^2 exactly.  To
-    first order in P the solution of the full equation is that basis times
-    the WKB amplitude factor (1 + P r^p / lambda)^(-1/4) and the phase
-    factor exp(-i delta), with
-
-        delta = -sum c r^e / (2 sqrt(lambda) e),     e = p/2 - q + 1 > 0,
-
-    the phase integral of P / (2 sqrt(J_core)) over (0, r).  The
-    remainder bound adds, conservatively,
-
-    * the amplitude-order term sum |c| r^(p-q) / (4 lambda);
-    * the second-order phase: the integral of P^2 r^(3p/2) / (8 lambda^1.5);
-    * the phase that the residual of the corrected basis in the full
-      equation imprints: for each term x = c r^(p-q) / lambda that
-      residual is about C x / r^2 with C = |(p-q)(p-q-1)| / 4 + p(p-q) / 8,
-      from the curvature of the amplitude factor, and its effect grows
-      like r^(p/2 - 1) times the amplitude-order term, so it dominates
-      only at loose tol;
-    * the error of taking |u_Hankel|^2 = r^(p/2) / sqrt(lambda) inside the
-      phase integrals, twice the first term (4 eta^2 - 1) / (8 z^2) of the
-      asymptotic expansion of the Hankel modulus (zero for p = 4,
-      l+nu = 1/2).
-    """
-    lam, p = config.lam, config.p
-    sl = math.sqrt(lam)
-    n = p - 2.0
-    eta = 2.0 * abs(config.l_plus_nu) / n
-    hankel = abs(4.0 * eta * eta - 1.0) * n * n / (32.0 * lam)  # |4 eta^2 - 1| / (8 z^2 r^n)
-    terms = origin_power_terms(config)
-    delta = ddelta = x = dx = remainder = 0.0
-    for q, c in terms:
-        e = p / 2.0 - q + 1.0
-        rate = c * r ** (e - 1.0) / (2.0 * sl)  # P-term / (2 sqrt(J_core))
-        ddelta -= rate
-        delta -= rate * r / e
-        xi = c * r ** (p - q) / lam
-        x += xi
-        dx += (p - q) * xi / r
-        remainder += abs(xi) / 4.0
-        curvature = abs((p - q) * (p - q - 1.0)) / 4.0 + p * (p - q) / 8.0
-        remainder += abs(c) * (hankel + curvature / (2.0 * lam)) * r ** (e + n) / (sl * (e + n))
-        for q2, c2 in terms:
-            e2 = 1.5 * p - q - q2 + 1.0
-            remainder += abs(c * c2) * r ** e2 / (8.0 * lam * sl * e2)
-    amp = (1.0 + x) ** -0.25
-    damp = -0.25 * amp * dx / (1.0 + x)
-    return OriginPerturbation(delta, ddelta, amp, damp, remainder)
-
-
-def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
-    """Error bound for initializing with the near-origin basis at r.
-
-    For p = 2 it collects the WKB phase contributions over (0, r) of the
-    terms of J that the basis does not resolve, k^2 and W (the
-    centrifugal term is absorbed into the effective coupling).  For
-    p > 2 the basis carries the first-order imprint of k^2 and of a
-    power-law W, so what enters is the remainder bound of
-    :func:`origin_perturbation`; a Gaussian barrier, not a power law,
-    still enters as its uncorrected phase (``origin_phase``).
-    """
-    if config.theta is not None:
-        root = math.sqrt(config.lam)
-        est = config.k ** 2 * r * r / (4.0 * root)
-    else:
-        est = origin_perturbation(config, r).remainder
-    ep = config.extra_potential
-    if ep is not None:
-        est += ep.origin_phase(r, config.lam, config.p)
-    return est

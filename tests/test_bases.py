@@ -17,9 +17,16 @@ from singscat import (
     propagate,
     validate,
 )
-from singscat.bases import _series_coefficients, choose_r_max_start, choose_r_min, r_min_cap
+from singscat import bases
+from singscat.bases import (
+    _series_coefficients,
+    choose_r_max_start,
+    choose_r_min,
+    origin_perturbation,
+    r_min_cap,
+    singularity_phase_error,
+)
 from singscat.errors import AsymptoticRegionTooClose, SingularRegionTooFar
-from singscat.model import origin_perturbation, singularity_phase_error
 from tests.conftest import barrier_config, isp_config, quartic_config
 
 QUARTIC = quartic_config()
@@ -263,6 +270,20 @@ class TestSingularity:
             factor = cmath.exp(1j * cfg1.theta * math.log(3.7))
             assert b.u == pytest.approx(a.u * factor, rel=1e-13)
             assert b.du == pytest.approx(a.du * factor, rel=1e-13)
+
+    def test_perturbation_evaluated_once_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(config, r):
+            calls.append(r)
+            return origin_perturbation(config, r)
+
+        monkeypatch.setattr(bases, "origin_perturbation", spy)
+        eval_singularity(GENERIC, 0.01, raise_on_error=False)
+        assert calls == [0.01]
+        calls.clear()
+        eval_singularity(isp_config(1.0), 0.01, raise_on_error=False)  # p = 2: none
+        assert calls == []
 
     def test_too_far_raises(self):
         with pytest.raises(SingularRegionTooFar):

@@ -158,13 +158,24 @@ class TestSolve:
             {"p": 4.0, "l_plus_nu": 0.5, "extra_potential": {
                 "name": "gaussian_barrier", "height": 1, "center": 2, "width": 0.5,
                 "exponent": 3, "heigth": 9}},
+            # the field name beside its JSON key "lambda": neither value may be dropped
+            {"lam": 9.0},
         ],
         ids=["k-str", "lambda-list", "tol-bool", "height-nan", "coefficient-inf", "height-str",
-             "stray-keys"],
+             "stray-keys", "lam-key"],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path, "malformed.json", **overrides)
         assert main(["solve", "--config", path, "--output", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BadGrid:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("body", ["null", "5", "[1, 2]", '"abc"', "[]"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, body):
+        path = tmp_path / "notobject.json"
+        path.write_text(body)
+        assert main(["solve", "--config", str(path), "--output", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("BadGrid:")
         assert len(err.strip().splitlines()) == 1

@@ -20,9 +20,9 @@ from singscat import (
     validate,
 )
 from singscat import connect
+from singscat.bases import singularity_phase_error
 from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, NoStabilization, PoleProximity
-from singscat.model import singularity_phase_error
 from tests.conftest import isp_config
 
 _DUMMY_RES = TransferResiduals(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -177,7 +178,7 @@ class TestConfigSerialization:
         assert isinstance(cfg, ProblemConfig)
         assert (cfg.lam, cfg.n_exponent, cfg.theta) == (1.5, 2.0, None)
         assert cfg.to_dict() == ProblemConfig.from_dict(d).to_dict()
-        moved = cfg.with_mu(2.0)
+        moved = cfg.replaced(mu=2.0)
         assert type(moved) is ValidatedConfig
         assert (moved.mu, moved.n_exponent) == (2.0, 2.0)
 
@@ -186,6 +187,18 @@ class TestConfigSerialization:
             ProblemConfig.from_dict({"p": 2.0, "lambda": 1.25, "k": 1.0, "bogus": 1})
         with pytest.raises(BadGrid):
             ProblemConfig.from_dict({"p": 2.0, "lambda": 1.25})
+
+    @pytest.mark.parametrize(
+        "d",
+        [{"p": 2.0, "k": 1.0}, {"p": 2.0, "lambda": "1.25", "k": 1.0},
+         {"p": 2.0, "lambda": math.nan, "k": 1.0}],
+        ids=["missing", "not-a-number", "not-finite"],
+    )
+    def test_messages_name_lambda(self, d):
+        with pytest.raises(BadGrid) as err:
+            validate(ProblemConfig.from_dict(d))
+        assert "lambda" in str(err.value)
+        assert not re.search(r"\blam\b", str(err.value))
 
 
 class TestExtraPotential:
