@@ -44,7 +44,7 @@ from scipy.special import hankel2
 
 from .errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from .integrate import StateVector
-from .model import GaussianBarrier, ValidatedConfig, power_terms
+from .model import GaussianBarrier, ValidatedConfig, invariant_callable, power_terms
 
 __all__ = [
     "BasisSample",
@@ -312,7 +312,13 @@ def r_min_cap(config: ValidatedConfig) -> float:
     Raises :class:`SingularRegionTooFar` when that region is empty in
     floating point: for p just above 2 a centrifugal term that beats
     lambda / (2n) at r = 1 stays ahead of the core down to radii that
-    underflow to 0."""
+    underflow to 0; and when lambda is so small that lambda^1.5, by which
+    the near-origin bounds divide, underflows to 0."""
+    if config.lam * math.sqrt(config.lam) == 0.0:
+        raise SingularRegionTooFar(
+            f"lambda = {config.lam:g} is too small for float64: lambda^1.5, "
+            "by which the near-origin bounds divide, underflows to 0"
+        )
     terms = [(q, abs(c)) for q, c in power_terms(config) if q != config.p]
     ep = config.extra_potential
     if isinstance(ep, GaussianBarrier):
@@ -380,7 +386,8 @@ def choose_r_min(config: ValidatedConfig) -> float:
     until it does.  The last bracket is then bisected geometrically.
     Keeping the radius as large as the estimate allows matters for
     p > 2, where the integration cost grows with the accumulated phase
-    ~ r_min^(1 - p/2).
+    ~ r_min^(1 - p/2).  A radius where J(r) overflows float64, as a tiny
+    lambda puts it, raises :class:`SingularRegionTooFar`.
     """
     target = _TRUNC_SHARE * config.tol
     cap = r_min_cap(config)
@@ -390,6 +397,15 @@ def choose_r_min(config: ValidatedConfig) -> float:
         raise SingularRegionTooFar(
             f"could not reach truncation {target:.1e} by shrinking r_min "
             f"(reached r={start * 0.5 ** 400:.3e})"
+        )
+    try:
+        j = invariant_callable(config)(r)
+    except (OverflowError, ZeroDivisionError):
+        j = math.inf
+    if not math.isfinite(j):
+        raise SingularRegionTooFar(
+            f"J overflows float64 at the inner radius r = {r:.3e} "
+            f"(lambda = {config.lam:g}, p = {config.p:g})"
         )
     return r
 

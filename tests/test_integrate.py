@@ -1,9 +1,19 @@
 import cmath
 import math
+import statistics
 
 import pytest
 
-from singscat import ProblemConfig, StateVector, eval_singularity, integrate, propagate, validate, wronskian
+from singscat import (
+    ProblemConfig,
+    StateVector,
+    eval_singularity,
+    integrate,
+    propagate,
+    transfer_matrix,
+    validate,
+    wronskian,
+)
 from singscat.errors import DriftExceeded
 from tests.conftest import isp_config
 
@@ -131,3 +141,72 @@ def test_local_tol_used_is_the_floored_request(local_tol):
     traj = propagate(cfg, init, 5.0, local_tol=local_tol)
     assert traj.local_tol == max(local_tol, 4e-15)
     assert traj.wronskian_drift <= cfg.tol
+
+
+def test_tableau_is_scipys_dop853():
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = dop853.N_STAGES
+    assert integrate._C == tuple(dop853.C[:n])
+    assert integrate._A == tuple(tuple(dop853.A[i, :i]) for i in range(n))
+    assert integrate._B == tuple(dop853.B)
+    assert integrate._E5 == tuple(dop853.E5[:n]) and dop853.E5[n] == 0.0
+    assert integrate._E3 == tuple(dop853.E3[:n]) and dop853.E3[n] == 0.0
+
+
+def test_eighth_order_convergence_on_harmonic_oscillator():
+    # u'' + u = 0 over 50 rad: log(error) against log(steps) across a
+    # sweep of rtol has slope -8 (a 6th-order pair gives -6)
+    log_steps, log_errors = [], []
+    for e in range(5, 13):
+        (_, u, _), stats, _ = integrate._run(lambda r: 1.0, 1.0 + 0j, 1j, 0.0, 50.0, 10.0 ** -e)
+        log_steps.append(math.log(stats.n_steps))
+        log_errors.append(math.log(abs(u - cmath.exp(50j))))
+    slope = statistics.linear_regression(log_steps, log_errors).slope
+    assert -8.5 < slope < -7.5
+
+
+def _max_accepted_wavelength_fraction(cfg):
+    """Largest accepted step of a solve, over every leg, in units of the
+    shortest local wavelength 2 pi / sqrt(J) among its stage radii.
+
+    Each step attempt calls J at r + c_i h for the eleven stages
+    i = 1..11 (c_11 = 1); the attempt was accepted when the next one
+    starts at its r + h, and the last attempt of a leg always is."""
+    c1 = integrate._C[1]
+    worst = 0.0
+    run = integrate._run
+
+    def spy(jfun, *args):
+        calls = []
+
+        def recorded(r):
+            calls.append((r, jfun(r)))
+            return calls[-1][1]
+
+        out = run(recorded, *args)
+        attempts = [calls[i:i + 11] for i in range(1, len(calls), 11)]
+        starts = [a[-1][0] - (a[-1][0] - a[0][0]) / (1.0 - c1) for a in attempts]
+        nonlocal worst
+        for i, attempt in enumerate(attempts):
+            h = attempt[-1][0] - starts[i]
+            if i + 1 < len(attempts) and abs(starts[i + 1] - attempt[-1][0]) > 0.5 * abs(h):
+                continue  # rejected: the next attempt starts where this one did
+            j_max = max(j for _, j in attempt)
+            worst = max(worst, abs(h) * math.sqrt(j_max) / (2.0 * math.pi))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "_run", spy)
+        transfer_matrix(cfg)
+    return worst
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4])
+def test_accepted_steps_resolve_the_local_wavelength(tol):
+    # an 8th-order pair at loose tol takes long steps; none spans more than
+    # 0.4 of a wavelength on any leg (the largest seen is about 0.16)
+    cfgs = [validate(ProblemConfig(p=p, lam=1.0, k=k, l_plus_nu=0.5, tol=tol))
+            for p in (3.0, 4.0, 6.0, 8.0) for k in (0.1, 1.0, 10.0)]
+    cfgs += [isp_config(theta, tol=tol) for theta in (0.5, 2.0)]
+    for cfg in cfgs:
+        assert _max_accepted_wavelength_fraction(cfg) < 0.4, cfg

@@ -41,7 +41,7 @@ GOLDEN = {
     "core_k2.3": (complex(-0.46636959369283554, -0.8899906792588773),
                   complex(0.06922429852047186, -0.06922429847465615)),
 }
-QUARTIC_INNER_STEPS = 15823
+QUARTIC_INNER_STEPS = 3529
 
 
 def _config(name: str):
