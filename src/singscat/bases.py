@@ -1,33 +1,63 @@
 """Fundamental wave bases at the two singular endpoints.
 
-Far field (r -> infinity), WKB-normalized so each member carries
-conserved current +/-2:
+Each member carries conserved current +/-2, and each basis is closed
+under conjugation, so only the outgoing member is evaluated, together
+with the truncation estimate of the basis at that radius.
+
+Far field (r -> infinity):
 
     u1(r) ~ k^(-1/2) e^(-i pi/4) e^(+i k r) * f(r)       (outgoing)
     u2(r) = conj(u1(r))                                   (ingoing)
 
 where f(r) = 1 + sum s_gamma r^(-gamma) corrects for the power-law terms
 g r^(-alpha) of J - k^2, over the exponents generated from 0 by the steps
-1 and alpha - 1.  The first unit band [n, n+1) of gamma whose moduli do
-not decrease, plus a Gaussian barrier's tail, gives the truncation estimate.
+1 and alpha - 1.  The series depends on k and those terms only, so it
+serves the dual problem below as well.  The first unit band [n, n+1) of
+gamma whose moduli do not decrease, plus a Gaussian barrier's tail,
+gives the truncation estimate.
 
-Near the origin (r -> 0):
+Near the origin (r -> 0) a problem takes one of three bases:
 
-    p = 2:  u+(r) = sqrt(r/theta) (mu r)^(+i theta),  u- = conj(u+),
-            exact for the pure conformal problem; contamination from k^2
-            and W enters the truncation estimate.
-    p > 2:  u+(r) = sqrt(pi/n) e^(-i(eta pi/2 + pi/4)) sqrt(r) H2_eta(z)
-                    * A(r) e^(-i delta(r)),
-            z = (2 sqrt(lambda)/n) r^(-n/2), n = p - 2, with the order
-            eta = 2|l+nu|/n chosen so the Hankel solution solves the
-            core *and* centrifugal parts of the equation exactly; the
-            r -> 0 behavior is the order-independent leading form
-            (r^(p/4)/lambda^(1/4)) exp(-2i sqrt(lambda) r^(-n/2)/n).  The
-            factor A e^(-i delta) carries the first-order WKB amplitude and
-            phase imprint of k^2 and of a power-law W
-            (:func:`singscat.bases.origin_perturbation`); only the
-            remainder of that expansion and a Gaussian barrier's phase
-            enter the truncation estimate.
+    conformal (p = 2):
+        u+(r) = sqrt(r/theta) (mu r)^(+i theta),  exact for the pure
+        conformal problem; the phase of k^2 over (0, r) is its estimate.
+    Hankel (p > 2):
+        u+(r) = sqrt(pi/n) e^(-i(eta pi/2 + pi/4)) sqrt(r) H2_eta(z)
+                * A(r) e^(-i delta(r)),
+        z = (2 sqrt(lambda)/n) r^(-n/2), n = p - 2, with the order
+        eta = 2|l+nu|/n chosen so the Hankel solution solves the core
+        *and* centrifugal parts of the equation exactly.  The factor
+        A e^(-i delta) carries the first-order WKB imprint of k^2 and of a
+        power-law W (:func:`origin_perturbation`), whose remainder bound
+        is the estimate.
+    dual (p > 2):
+        u+(r) = beta^(1/2) e^(-i pi/4) r^(p/4) u2'(r'),  r' = r^(-n/2),
+        beta = 2/n, with u2' the ingoing far member of the dual problem
+        P'; the far truncation of P' at r' is the estimate.
+
+The dual problem comes from the power-law duality (p - 2)(p' - 2) = 4.
+With r = e^z and u = r^(1/2) w the equation reads
+
+    w_zz = (l^2 - k^2 e^(2z) - lambda e^(-nz) + r^2 W) w,     l = l+nu,
+
+and z = -beta y, r' = e^y turns it into the same equation for P' with
+p' = 2 + 4/n, lambda' = beta^2 k^2, k' = beta sqrt(lambda), l' = beta l,
+and a power-law term (q, c) of J into (2 - beta (q - 2), beta^2 c).  The
+core of P becomes the plane wave of P', so the far series of P' carries
+k^2 and a power-law W to all orders, where the Hankel basis carries them
+to first order.  A Gaussian W has no power-law image; both p > 2 bases
+add its uncorrected phase over (0, r) (``origin_phase``) to their
+estimate.  The map sends u+ to beta^(1/2) e^(-i pi/4) u2' and u- to
+beta^(1/2) e^(-i pi/4) u1', so a(P') = a(P) and b(P') = -i b(P)*; at
+p = 4 with no W, P' is P up to scale and arg b = -pi/4 (mod pi).
+
+A p > 2 problem takes whichever of its two bases meets 0.1 tol at the
+larger radius (:func:`choose_r_min`).  The dual basis reaches further
+for p >= 3 at lambda = k = 1, l+nu = 1/2, and the Hankel basis for
+p < 3, where r' = r^(-n/2) grows too slowly for the far series; near
+p = 3 the choice also depends on lambda, k, l+nu and tol.  The dual
+basis is not offered where a series step of P' leaves
+[_MIN_DUAL_STEP, _SERIES_CAP).
 
 Powers (mu r)^(i theta) are evaluated as exp(i theta ln(mu r)) with the
 real logarithm, which fixes the branch for all r > 0.
@@ -38,9 +68,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import NamedTuple
-
-from scipy.special import hankel2
+from typing import Callable, NamedTuple
 
 from .errors import AsymptoticRegionTooClose, SingularRegionTooFar
 from .integrate import StateVector
@@ -59,12 +87,24 @@ __all__ = [
 ]
 
 _MAX_SERIES_ORDER = 8
+#: Far-series exponents are generated below this; a term whose step
+#: alpha - 1 reaches it never enters the series.
+_SERIES_CAP = _MAX_SERIES_ORDER + 2
 #: Far-field exponents closer than this are one (rounding is far smaller).
 _SAME_EXPONENT = 1e-9
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
 #: Share of ``tol`` that the truncation of either basis may take at the
 #: radii where the propagation starts and ends.
 _TRUNC_SHARE = 0.1
+#: Smallest series step alpha' - 1 of the dual problem that the dual basis
+#: takes.  A W exponent q near p/2 + 1 has the image q' = 2 - beta (q - 2)
+#: near 1, and the exponents under the cap grow like 1/step: a step of
+#: 0.0213 gives 2,277 of them, built in about 0.6 s, and the build time
+#: grows like step^-2.
+_MIN_DUAL_STEP = 0.02
+
+#: Power-law terms (alpha, g) of J - k^2, alpha > 0, in increasing alpha.
+_Terms = tuple[tuple[float, float], ...]
 
 
 class BasisSample(NamedTuple):
@@ -76,16 +116,16 @@ class BasisSample(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _series_coefficients(config: ValidatedConfig) -> tuple[tuple[int, float, complex], ...]:
+def _series_coefficients(k: float, terms: _Terms) -> tuple[tuple[int, float, complex], ...]:
     """Nonzero terms (n, -gamma, s_gamma) of the far-field correction
-    series in increasing gamma, n = int(gamma) <= M + 1, then a zero term
-    in band M + 2.  The exponents are generated from 0 by the steps 1 and
-    alpha - 1 >= 1 of the tail terms g r^(-alpha), and the equation gives
+    series of J = k^2 + sum g r^(-alpha) over ``terms``, in increasing
+    gamma, n = int(gamma) <= M + 1, then a zero term in band M + 2.  The
+    exponents are generated from 0 by the steps 1 and alpha - 1 > 0, and
+    the equation gives
     2 i k gamma s_gamma = (gamma - 1) gamma s_(gamma-1) + sum g s_(gamma+1-alpha).
     """
-    terms = [t for t in power_terms(config) if t[0] > 0.0]  # those of J - k^2
     steps = {1.0, *(a - 1.0 for a, _ in terms)}
-    cap = _MAX_SERIES_ORDER + 2
+    cap = _SERIES_CAP
     found = frontier = {0.0}
     while frontier:
         frontier = {x + d for x in frontier for d in steps if x + d < cap} - found
@@ -102,30 +142,23 @@ def _series_coefficients(config: ValidatedConfig) -> tuple[tuple[int, float, com
         acc = (gamma - 1.0) * gamma * at(gamma - 1.0)
         for a, g in terms:
             acc += g * at(gamma + 1.0 - a)
-        sg = acc / (2j * config.k * gamma)
+        sg = acc / (2j * k * gamma)
         known.append((gamma, sg))
         if sg != 0:
             out.append((int(gamma + _SAME_EXPONENT), -gamma, sg))
     return (*out, (cap, 0.0, 0j))
 
 
-def eval_asymptotic(
-    config: ValidatedConfig, r: float, *, raise_on_error: bool = True
-) -> BasisSample:
-    """Outgoing far-field member u1 with its derivative at r.
+def _far_series(k: float, terms: _Terms, r: float) -> tuple[complex, complex, float, int]:
+    """u1 and du1/dr of the outgoing far member of J = k^2 + sum g r^(-alpha)
+    at r, the truncation estimate of its series and the order used.
 
-    The correction series is summed band by band while a band's sum of
-    moduli decreases; that sum for the first band that does not, or past
-    order M, plus a Gaussian barrier's tail is the truncation estimate.
-    Raises :class:`AsymptoticRegionTooClose` when that estimate exceeds
-    ``config.tol`` (unless ``raise_on_error=False``).
+    The series is summed band by band while a band's sum of moduli
+    decreases; that sum for the first band that does not, or past order
+    M, relative to |f| is the estimate.
     """
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    k = config.k
-
     f, df, omitted, used, prev_mag = 1.0 + 0j, 0j, 0.0, 0, math.inf
-    coefficients = _series_coefficients(config)
+    coefficients = _series_coefficients(k, terms)
     band, f_band, df_band, mag = coefficients[0][0], 0j, 0j, 0.0
     for n, e, c in coefficients:
         if n != band:  # band closed; the final zero term closes the last one
@@ -141,19 +174,35 @@ def eval_asymptotic(
         df_band += e * c * r ** (e - 1.0)
         mag += abs(t)
 
-    est = omitted / max(abs(f), 1e-12)
+    pref = _EXP_M_I_PI_4 / math.sqrt(k)
+    phase = cmath.exp(1j * k * r)
+    return pref * phase * f, pref * phase * (1j * k * f + df), omitted / max(abs(f), 1e-12), used
+
+
+def _far_terms(config: ValidatedConfig) -> _Terms:
+    """The power-law terms of J - k^2, which the far series corrects for."""
+    return tuple(t for t in power_terms(config) if t[0] > 0.0)
+
+
+def eval_asymptotic(
+    config: ValidatedConfig, r: float, *, raise_on_error: bool = True
+) -> BasisSample:
+    """Outgoing far-field member u1 with its derivative at r.
+
+    The truncation estimate is that of the correction series plus a
+    Gaussian barrier's tail.  Raises :class:`AsymptoticRegionTooClose`
+    when it exceeds ``config.tol`` (unless ``raise_on_error=False``).
+    """
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    u1, du1, est, used = _far_series(config.k, _far_terms(config), r)
     if config.extra_potential:  # a Gaussian barrier's tail; a power law leaves none
-        est += config.extra_potential.tail_integral(r) / (2.0 * k)
+        est += config.extra_potential.tail_integral(r) / (2.0 * config.k)
     if raise_on_error and est > config.tol:
         raise AsymptoticRegionTooClose(
             f"far-field truncation estimate {est:.3e} > tol {config.tol:.1e} "
             f"at r={r} (series order {used})"
         )
-
-    pref = _EXP_M_I_PI_4 / math.sqrt(k)
-    phase = cmath.exp(1j * k * r)
-    u1 = pref * phase * f
-    du1 = pref * phase * (1j * k * f + df)
     return BasisSample(StateVector(r, u1, du1), est)
 
 
@@ -232,74 +281,169 @@ def origin_perturbation(config: ValidatedConfig, r: float) -> OriginPerturbation
     return OriginPerturbation(delta, ddelta, amp, damp, remainder)
 
 
-def _near_origin(config: ValidatedConfig, r: float) -> tuple[OriginPerturbation | None, float]:
-    """The p > 2 perturbation at r (None for p = 2) and the bound of
-    :func:`singularity_phase_error` built from it."""
-    if config.theta is not None:
-        pert = None
-        est = config.k ** 2 * r * r / (4.0 * math.sqrt(config.lam))
-    else:
-        pert = origin_perturbation(config, r)
-        est = pert.remainder
+def _barrier_phase(config: ValidatedConfig, r: float) -> float:
+    """A Gaussian barrier's uncorrected WKB phase over (0, r); 0.0 for a
+    power-law W or none, which the p > 2 bases carry."""
     ep = config.extra_potential
-    if ep is not None:
-        est += ep.origin_phase(r, config.lam, config.p)
-    return pert, est
+    return ep.origin_phase(r, config.lam, config.p) if ep is not None else 0.0
+
+
+# A near-origin member maps (config, r) to (u+, du+/dr, estimate), the
+# estimate without a Gaussian barrier's phase.
+_Member = Callable[[ValidatedConfig, float], tuple[complex, complex, float]]
+
+
+def _conformal_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
+    """The p = 2 basis, and the WKB phase contribution of k^2 over (0, r),
+    which it does not resolve (the centrifugal term is absorbed into the
+    effective coupling)."""
+    th = config.theta
+    u = math.sqrt(r / th) * cmath.exp(1j * th * math.log(config.mu * r))
+    du = u * (0.5 / r + 1j * th / r)
+    return u, du, config.k ** 2 * r * r / (4.0 * math.sqrt(config.lam))
+
+
+def _hankel_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
+    """The p > 2 Hankel basis with its first-order imprint of k^2 and of a
+    power-law W, and the remainder bound of :func:`origin_perturbation`."""
+    from scipy.special import hankel2  # only a solve on this basis loads scipy
+
+    pert = origin_perturbation(config, r)
+    n = config.n_exponent
+    lam = config.lam
+    order = _hankel_order(config)
+    z = (2.0 * math.sqrt(lam) / n) * r ** (-n / 2.0)
+    dz = -math.sqrt(lam) * r ** (-config.p / 2.0)
+    h = complex(hankel2(order, z))
+    hm1 = complex(hankel2(order - 1.0, z))
+    dh = hm1 - (order / z) * h
+    pref = math.sqrt(math.pi / n) * cmath.exp(-1j * (order * math.pi / 2.0 + math.pi / 4.0))
+    sqr = math.sqrt(r)
+    u = pref * sqr * h
+    du = pref * (h / (2.0 * sqr) + sqr * dh * dz)
+    phase = cmath.exp(-1j * pert.delta)
+    du = (du * pert.amp + u * (pert.damp - 1j * pert.ddelta * pert.amp)) * phase
+    u = u * pert.amp * phase
+    return u, du, pert.remainder
+
+
+def _dual_problem(config: ValidatedConfig) -> tuple[float, _Terms] | None:
+    """k' and the power-law terms of J' - k'^2 of the dual problem P', or
+    None where the dual basis is not offered.
+
+    With beta = 2/n, P' has k' = beta sqrt(lambda), the centrifugal term
+    of l' = beta (l+nu), and the term (2 - beta (q - 2), beta^2 c) for
+    every other power-law term (q, c) of J but the core: k^2 becomes the
+    core beta^2 k^2 r'^(-p').  None for p = 2, and where a series step
+    alpha' - 1 of P' leaves [_MIN_DUAL_STEP, _SERIES_CAP): below it, the
+    exponents of a W near the limit q = p/2 + 1 crowd the series; at the
+    cap, for p <= 2 + 4/9, the image of k^2 leaves the series and its
+    estimate.
+    """
+    if config.is_conformal:
+        return None
+    beta = 2.0 / config.n_exponent
+    terms = [(2.0 - beta * (q - 2.0), beta * beta * c)
+             for q, c in power_terms(config) if q not in (2.0, config.p)]
+    terms.append((2.0, 0.25 - (beta * config.l_plus_nu) ** 2))
+    if not all(_MIN_DUAL_STEP <= a - 1.0 < _SERIES_CAP for a, _ in terms):
+        return None
+    return beta * math.sqrt(config.lam), tuple(sorted(t for t in terms if t[1] != 0.0))
+
+
+def _dual_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
+    """The p > 2 dual basis: the image of the ingoing far member u2' of
+    P' at r' = r^(-n/2), and the far truncation estimate of P' there."""
+    k_dual, terms = _dual_problem(config)
+    n, quarter_p = config.n_exponent, 0.25 * config.p
+    r_dual = r ** (-0.5 * n)
+    u1, du1, est, _ = _far_series(k_dual, terms, r_dual)
+    pref = _EXP_M_I_PI_4 * math.sqrt(2.0 / n) * r ** quarter_p
+    u = pref * u1.conjugate()
+    du = pref * (quarter_p * u1.conjugate() - 0.5 * n * r_dual * du1.conjugate()) / r
+    return u, du, est
+
+
+def _member_error(member: _Member, config: ValidatedConfig, r: float) -> float:
+    """Estimate of ``member`` at r with a Gaussian barrier's phase; the
+    Hankel basis's bound is taken without evaluating Hankel functions."""
+    if member is _hankel_member:
+        est = origin_perturbation(config, r).remainder
+    else:
+        est = member(config, r)[2]
+    return est + _barrier_phase(config, r)
+
+
+class _Origin(NamedTuple):
+    """The near-origin basis of one problem and its inner radius, None
+    where no radius up to :func:`r_min_cap` meets ``0.1 tol``."""
+
+    member: _Member
+    r_min: float | None
+
+
+@functools.lru_cache(maxsize=64)
+def _origin(config: ValidatedConfig) -> _Origin:
+    """Choose the near-origin basis of a problem: of those offered, the one
+    whose estimate meets ``0.1 tol`` at the larger radius, the first
+    offered (conformal or Hankel) where none does.
+
+    Each radius is searched from ``config.r_min`` up to
+    :func:`r_min_cap`: where the estimate holds there, the radius is
+    doubled while it keeps holding; otherwise it is halved until it does.
+    The last bracket is then bisected geometrically.  For the dual basis
+    this outward search in r is the inward far-radius search of P' in r'.
+    """
+    if config.is_conformal:
+        members: tuple[_Member, ...] = (_conformal_member,)
+    elif _dual_problem(config) is None:
+        members = (_hankel_member,)
+    else:
+        members = (_hankel_member, _dual_member)
+    target = _TRUNC_SHARE * config.tol
+    cap = r_min_cap(config)
+    start = min(config.r_min, cap)
+    best = _Origin(members[0], None)
+    for member in members:
+        try:
+            r = _edge(lambda x: _member_error(member, config, x) <= target, start, 2.0, cap, 400)
+        except (OverflowError, ZeroDivisionError):  # r^(-n/2) past float64, or at r = 0.0
+            r = None
+        if r is not None and (best.r_min is None or r > best.r_min):
+            best = _Origin(member, r)
+    return best
 
 
 def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
-    """Error bound for initializing with the near-origin basis at r.
+    """Truncation estimate at r of the problem's near-origin basis.
 
-    For p = 2 it collects the WKB phase contributions over (0, r) of the
-    terms of J that the basis does not resolve, k^2 and W (the
-    centrifugal term is absorbed into the effective coupling).  For
-    p > 2 the basis carries the first-order imprint of k^2 and of a
-    power-law W, so what enters is the remainder bound of
-    :func:`origin_perturbation`; a Gaussian barrier, not a power law,
-    still enters as its uncorrected phase (``origin_phase``).
+    For p = 2 it is the WKB phase over (0, r) of the terms of J that the
+    basis does not resolve, k^2 and W.  For p > 2 it is the remainder
+    bound of :func:`origin_perturbation` on the Hankel basis, or the far
+    truncation of the dual problem at r' = r^(-n/2) on the dual basis;
+    a Gaussian barrier, not a power law, adds its uncorrected phase
+    (``origin_phase``) to either.
     """
-    return _near_origin(config, r)[1]
+    return _member_error(_origin(config).member, config, r)
 
 
 def eval_singularity(
     config: ValidatedConfig, r: float, *, raise_on_error: bool = True
 ) -> BasisSample:
-    """Outgoing near-origin member u+ with its derivative at r.
+    """Outgoing near-origin member u+ with its derivative at r, on the
+    basis that :func:`choose_r_min` picks for the problem.
 
-    Raises :class:`SingularRegionTooFar` when the contamination estimate
-    at r exceeds ``config.tol``.
+    Raises :class:`SingularRegionTooFar` when the truncation estimate at
+    r exceeds ``config.tol``.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    pert, est = _near_origin(config, r)
+    u, du, est = _origin(config).member(config, r)
+    est += _barrier_phase(config, r)
     if raise_on_error and est > config.tol:
         raise SingularRegionTooFar(
             f"near-origin truncation estimate {est:.3e} > tol {config.tol:.1e} at r={r}"
         )
-
-    if config.theta is not None:
-        th = config.theta
-        amp = math.sqrt(r / th)
-        phase = cmath.exp(1j * th * math.log(config.mu * r))
-        u = amp * phase
-        du = u * (0.5 / r + 1j * th / r)
-    else:
-        n = config.n_exponent
-        lam = config.lam
-        order = _hankel_order(config)
-        z = (2.0 * math.sqrt(lam) / n) * r ** (-n / 2.0)
-        dz = -math.sqrt(lam) * r ** (-config.p / 2.0)
-        h = complex(hankel2(order, z))
-        hm1 = complex(hankel2(order - 1.0, z))
-        dh = hm1 - (order / z) * h
-        pref = math.sqrt(math.pi / n) * cmath.exp(-1j * (order * math.pi / 2.0 + math.pi / 4.0))
-        sqr = math.sqrt(r)
-        u = pref * sqr * h
-        du = pref * (h / (2.0 * sqr) + sqr * dh * dz)
-        phase = cmath.exp(-1j * pert.delta)
-        du = (du * pert.amp + u * (pert.damp - 1j * pert.ddelta * pert.amp)) * phase
-        u = u * pert.amp * phase
-
     return BasisSample(StateVector(r, u, du), est)
 
 
@@ -378,8 +522,9 @@ def _edge(ok, start: float, step: float, limit: float, tries: int) -> float | No
 
 
 def choose_r_min(config: ValidatedConfig) -> float:
-    """Largest radius up to :func:`r_min_cap` where the near-origin basis
-    meets ``0.1 * tol``, searched from ``config.r_min``.
+    """Largest radius up to :func:`r_min_cap` where the problem's
+    near-origin basis meets ``0.1 * tol``: of the bases offered, the one
+    that meets it at the larger radius, searched from ``config.r_min``.
 
     ``config.r_min`` is a starting point: where the estimate holds there,
     the radius is doubled while it keeps holding; otherwise it is halved
@@ -389,13 +534,11 @@ def choose_r_min(config: ValidatedConfig) -> float:
     ~ r_min^(1 - p/2).  A radius where J(r) overflows float64, as a tiny
     lambda puts it, raises :class:`SingularRegionTooFar`.
     """
-    target = _TRUNC_SHARE * config.tol
-    cap = r_min_cap(config)
-    start = min(config.r_min, cap)
-    r = _edge(lambda x: singularity_phase_error(config, x) <= target, start, 2.0, cap, 400)
+    r = _origin(config).r_min
     if r is None:
+        start = min(config.r_min, r_min_cap(config))
         raise SingularRegionTooFar(
-            f"could not reach truncation {target:.1e} by shrinking r_min "
+            f"could not reach truncation {_TRUNC_SHARE * config.tol:.1e} by shrinking r_min "
             f"(reached r={start * 0.5 ** 400:.3e})"
         )
     try:

@@ -3,7 +3,9 @@
 :func:`solve_checks` reads the solved matrix: ``su11`` (the SU(1,1)
 defect), ``unitarity_right`` (|R|^2 + |T|^2 = 1),
 ``sign_correspondence`` of |S| against |Omega|, ``disk_automorphism``
-(the inverse map round trip) and, on the degenerate branch,
+(the inverse map round trip), at p = 4 with no W ``self_dual_phase``
+(b = -i b*, which the power-law duality gives there; see
+:mod:`singscat.bases`) and, on the degenerate branch,
 ``degenerate_spread`` of the constant map.  :func:`verify_checks` adds the costlier ones: ``global_error``
 (a re-extraction at a finer step tolerance), ``cauchy_consistency`` and
 ``uniform_average`` (boundary samples against direct values),
@@ -99,6 +101,13 @@ def solve_checks(
             back = connect.s_matrix_inverse(m, connect.s_matrix(m, om))
             auto = max(auto, abs(back - om))
     checks.append(_check("disk_automorphism", auto, 100.0 * tol))
+
+    if config.p == 4.0 and config.extra_potential is None:
+        # the dual problem is the problem itself up to scale, so
+        # b = -i b*: a global phase error in u+ turns arg b off -pi/4
+        # (mod pi), which no modulus and no identity of M can see
+        dual = abs(m.b + 1j * m.b.conjugate()) / max(1.0, abs(m.a))
+        checks.append(_check("self_dual_phase", dual, tol))
 
     if degenerate:
         vals = [

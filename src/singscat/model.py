@@ -269,7 +269,8 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         p = 2 with lam <= 1/4: the near-origin solutions stop
         oscillating, a regime outside this package's scope.
     BadGrid
-        Non-finite or inconsistent radii, tolerances or parameters.
+        Non-finite or inconsistent radii, tolerances or parameters, or a
+        k whose square overflows float64.
     """
     for key, f in _SCHEMA.items():
         value = getattr(config, f.name)
@@ -281,6 +282,8 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         raise NonSingular(f"lambda must be positive, got {config.lam}")
     if config.k <= 0.0:
         raise BadGrid(f"k must be positive, got {config.k}")
+    if not math.isfinite(config.k * config.k):  # J and both far series hold k^2
+        raise BadGrid(f"k = {config.k:g} is too large: k^2 overflows float64")
     if config.tol <= 0.0:
         raise BadGrid(f"tol must be positive, got {config.tol}")
     if not (0.0 < config.r_min < config.r_max):

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gamma
-
 __all__ = ["IspExactResult", "isp_exact"]
 
 
@@ -62,6 +60,8 @@ def isp_exact(theta: float, k: float, mu: float) -> IspExactResult:
     """
     if theta <= 0.0 or k <= 0.0 or mu <= 0.0:
         raise ValueError("theta, k, mu must all be positive")
+    from scipy.special import gamma  # imported here so that ``import singscat`` does not load scipy
+
     gp = complex(gamma(1.0 + 1j * theta))
     gm = complex(gamma(1.0 - 1j * theta))
     scale = (2.0 * mu / k) ** (1j * theta)  # = exp(i theta ln(2 mu / k))

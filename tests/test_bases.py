@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -9,16 +13,22 @@ from hypothesis import strategies as st
 from singscat import (
     ExtraPotential,
     GaussianBarrier,
+    InversePower,
     ProblemConfig,
     current,
     eval_asymptotic,
     eval_singularity,
     normal_invariant,
     propagate,
+    transfer_matrix,
     validate,
 )
 from singscat import bases
 from singscat.bases import (
+    _dual_member,
+    _dual_problem,
+    _far_terms,
+    _hankel_member,
     _series_coefficients,
     choose_r_max_start,
     choose_r_min,
@@ -34,14 +44,14 @@ GENERIC = validate(ProblemConfig(p=3.0, lam=2.0, k=1.0, l_plus_nu=0.3, tol=1e-8)
 
 
 def hankel_part(cfg, r):
-    """(u, du) of the near-origin basis with amp * exp(-i delta) divided out."""
-    got = eval_singularity(cfg, r, raise_on_error=False).state
+    """(u, du) of the Hankel basis with amp * exp(-i delta) divided out."""
+    got_u, got_du, _ = _hankel_member(cfg, r)
     pert = origin_perturbation(cfg, r)
     phase = cmath.exp(-1j * pert.delta)
     f = pert.amp * phase
     df = (pert.damp - 1j * pert.ddelta * pert.amp) * phase
-    u = got.u / f
-    return u, (got.du - u * df) / f
+    u = got_u / f
+    return u, (got_du - u * df) / f
 
 
 def reference_integer_coefficients(cfg):
@@ -108,7 +118,7 @@ class TestFarSeries:
     def test_integer_exponents_match_reference_exactly(self, cfg):
         # with integer exponents the series over real exponents is the old
         # integer recursion, float operation for float operation
-        got = {-e: c for _, e, c in _series_coefficients(cfg)[:-1]}
+        got = {-e: c for _, e, c in _series_coefficients(cfg.k, _far_terms(cfg))[:-1]}
         assert set(got) <= {float(m) for m in range(1, 10)}
         ref = reference_integer_coefficients(cfg)
         for m in range(1, 10):
@@ -116,7 +126,8 @@ class TestFarSeries:
 
     def test_noninteger_exponents_are_terms(self):
         # p = 2.5, l+nu = 0: steps 1 and 1.5 give every multiple of 1/2
-        got = [-e for _, e, _ in _series_coefficients(NONINTEGER["p2.5"])[:-1]]
+        cfg = NONINTEGER["p2.5"]
+        got = [-e for _, e, _ in _series_coefficients(cfg.k, _far_terms(cfg))[:-1]]
         assert got == [0.5 * j for j in range(2, 20)]
 
     @pytest.mark.parametrize("name", sorted(NONINTEGER))
@@ -191,11 +202,11 @@ class TestSingularity:
 
     def test_quartic_closed_form(self):
         # for p = 4 the half-integer Hankel solution is elementary,
-        # u_core = r exp(-i/r); the basis is that core factor times the
-        # first-order factor amp * exp(-i delta) of P = k^2, here
+        # u_core = r exp(-i/r); the Hankel basis is that core factor times
+        # the first-order factor amp * exp(-i delta) of P = k^2, here
         # delta = -k^2 r^3 / 6 and amp = (1 + k^2 r^4)^(-1/4)
         for r in (0.05, 0.3, 1.0):
-            got = eval_singularity(QUARTIC, r, raise_on_error=False).state
+            got_u, got_du, _ = _hankel_member(QUARTIC, r)
             pert = origin_perturbation(QUARTIC, r)
             assert pert.delta == pytest.approx(-(r ** 3) / 6.0, rel=1e-14)
             assert pert.ddelta == pytest.approx(-(r ** 2) / 2.0, rel=1e-14)
@@ -206,8 +217,8 @@ class TestSingularity:
             df = (pert.damp - 1j * pert.ddelta * pert.amp) * phase
             core = r * cmath.exp(-1j / r)
             dcore = (1.0 + 1j / r) * cmath.exp(-1j / r)
-            assert got.u / f == pytest.approx(core, rel=1e-12)
-            assert got.du == pytest.approx(dcore * f + core * df, rel=1e-12)
+            assert got_u / f == pytest.approx(core, rel=1e-12)
+            assert got_du == pytest.approx(dcore * f + core * df, rel=1e-12)
 
     def test_conjugation(self):
         # as for the far field: u- = u+* carries exactly minus the current
@@ -272,6 +283,9 @@ class TestSingularity:
             assert b.du == pytest.approx(a.du * factor, rel=1e-13)
 
     def test_perturbation_evaluated_once_per_call(self, monkeypatch):
+        # GENERIC keeps the Hankel basis; choosing it evaluates the bound
+        # at every trial radius, once per problem, before the spy
+        assert choose_r_min(GENERIC) and bases._origin(GENERIC).member is _hankel_member
         calls = []
 
         def spy(config, r):
@@ -288,6 +302,99 @@ class TestSingularity:
     def test_too_far_raises(self):
         with pytest.raises(SingularRegionTooFar):
             eval_singularity(isp_config(1.0), 1.0)
+
+
+class TestDualBasis:
+    # (lambda, k, l+nu) of the bare cores; radii where both bases hold,
+    # between the float64 floor of the Hankel functions and 1e-3
+    CORES = [(1.0, 1.0, 0.5), (2.0, 0.7, 1.3)]
+
+    @pytest.mark.parametrize("p, radii", [
+        (3.0, (0.003, 0.01, 0.03)), (4.0, (0.01, 0.03, 0.1)),
+        (6.0, (0.03, 0.1, 0.3)), (8.0, (0.1, 0.3)),
+    ])
+    def test_agrees_with_hankel_within_estimates(self, p, radii):
+        # two independent bases of one solution: the all-orders dual far
+        # series and the first-order Hankel form; a prefactor off by
+        # i n/2 fails this at every radius
+        for lam, k, lpn in self.CORES:
+            cfg = validate(ProblemConfig(p=p, lam=lam, k=k, l_plus_nu=lpn))
+            for r in radii:
+                hu, hdu, h_est = _hankel_member(cfg, r)
+                du_, ddu, d_est = _dual_member(cfg, r)
+                assert abs(du_ - hu) <= (h_est + d_est) * abs(hu)
+                assert abs(ddu - hdu) <= (h_est + d_est) * abs(hdu)
+
+    @pytest.mark.parametrize("p, w, radii", [
+        (4.0, (0.5, 2.5), (0.01, 0.03, 0.1)), (6.0, (0.5, 3.0), (0.03, 0.1, 0.3)),
+        (8.0, (0.3, 3.0), (0.1,)), (3.0, (-0.4, 2.2), (0.003, 0.01, 0.03)),
+    ])
+    def test_power_law_w_agrees_with_hankel(self, p, w, radii):
+        # the dual of W = c r^-q has the exponent q' = 2 - beta (q - 2) in
+        # (1, 2), which InversePower itself rejects
+        cfg = validate(ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5,
+                                     extra_potential=InversePower(*w)))
+        q_dual = 2.0 - 2.0 * (w[1] - 2.0) / (p - 2.0)
+        assert any(a == pytest.approx(q_dual) for a, _ in _dual_problem(cfg)[1])
+        for r in radii:
+            hu, hdu, h_est = _hankel_member(cfg, r)
+            du_, ddu, d_est = _dual_member(cfg, r)
+            assert abs(du_ - hu) <= (h_est + d_est) * abs(hu)
+            assert abs(ddu - hdu) <= (h_est + d_est) * abs(hdu)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 8.0])
+    def test_strong_cores_take_the_dual_basis_further_out(self, p):
+        cfg = validate(ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5))
+        r = choose_r_min(cfg)
+        assert bases._origin(cfg).member is _dual_member
+        assert singularity_phase_error(cfg, r) <= 0.1 * cfg.tol
+        # the Hankel bound misses the target there
+        assert origin_perturbation(cfg, r).remainder > 0.1 * cfg.tol
+
+    @pytest.mark.parametrize("p", [2.0001, 2.01, 2.5])
+    def test_near_two_solves_on_the_hankel_basis(self, p):
+        # below p = 2 + 4/9 the image of k^2 leaves the dual series; at
+        # p = 2.5 the dual basis is offered, but Hankel reaches further
+        cfg = validate(ProblemConfig(p=p, lam=1.25, k=1.0, tol=1e-8))
+        assert (_dual_problem(cfg) is None) == (p < 2.4)
+        m = transfer_matrix(cfg)
+        assert bases._origin(cfg).member is _hankel_member
+        assert abs(abs(m.a) ** 2 - abs(m.b) ** 2 - 1.0) < 100.0 * cfg.tol
+
+    def test_dual_step_floor_falls_back_to_hankel_before_the_series(self, monkeypatch):
+        # q -> p/2 + 1 sends the dual step q' - 1 to 0 and the number of
+        # series exponents to infinity; below the floor no series is built
+        built = []
+        monkeypatch.setattr(bases, "_series_coefficients",
+                            lambda k, terms: built.append(terms) or ())
+        w = InversePower(coefficient=0.5, exponent=2.9999999999)
+        cfg = validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-6,
+                                     extra_potential=w))
+        t0 = time.perf_counter()
+        assert _dual_problem(cfg) is None
+        assert bases._origin(cfg).member is _hankel_member
+        assert time.perf_counter() - t0 < 5.0
+        assert built == []
+        # a step of 0.05 is above the floor: the dual basis is offered
+        steep = cfg.replaced(extra_potential=InversePower(coefficient=0.5, exponent=2.95))
+        assert _dual_problem(steep) is not None
+
+    def test_quartic_solve_does_not_load_scipy(self):
+        # scipy.special serves only the Hankel basis and the p = 2 oracle;
+        # a p = 2.5 solve, on the Hankel basis, shows that the probe sees it
+        code = (
+            "import sys, singscat\n"
+            "def solve(p):\n"
+            "    singscat.transfer_matrix(singscat.validate(singscat.ProblemConfig(\n"
+            "        p=p, lam=1.25, k=1.0, l_plus_nu=0.5, tol=1e-8)))\n"
+            "    return 'scipy.special' in sys.modules\n"
+            "print('scipy' in sys.modules, solve(4.0), solve(2.5))\n"
+        )
+        src = os.path.dirname(os.path.dirname(bases.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestRegionSelection:

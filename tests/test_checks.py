@@ -3,11 +3,12 @@ import dataclasses
 import functools
 import math
 
-from singscat import blaschke_params, connect, scattering_coefficients
+from singscat import bases, blaschke_params, connect, scattering_coefficients, transfer_matrix
 from singscat import checks as suite
 from singscat.checks import solve_checks, verify_checks
 from singscat.currents import current
-from tests.conftest import isp_config
+from singscat.integrate import StateVector
+from tests.conftest import isp_config, quartic_config
 from tests.test_connect import _DUMMY_RES, fake_matrix
 
 CFG = isp_config(1.0)
@@ -61,13 +62,14 @@ def test_exact_matrix_passes_every_check():
 
 
 def test_every_check_has_a_test_that_fails_it(solved):
-    # a p = 2 map and a degenerate one reach every branch of both suites
+    # a p = 2 map, a degenerate one and the self-dual quartic core reach
+    # every branch of both suites
     emitted = set()
-    for name in ("isp1", "barrier"):
+    for name in ("isp1", "barrier", "quartic"):
         sol = solved(name)
         checks = solve_checks(sol.config, sol.matrix, sol.coeffs, sol.smap)
         emitted |= {c["name"] for c in checks + verify_checks_of(sol)}
-    assert {"mu_covariance_phase", "degenerate_spread"} <= emitted
+    assert {"mu_covariance_phase", "degenerate_spread", "self_dual_phase"} <= emitted
     assert emitted - FAILED_BY.keys() == set(), "checks that no test drives to fail"
     assert FAILED_BY.keys() - emitted == set(), "tests of checks that are not emitted"
 
@@ -108,6 +110,29 @@ def test_wrong_inverse_fails_disk_automorphism(monkeypatch):
     monkeypatch.setattr(connect, "s_matrix_inverse", lambda m, value: 0j)
     checks = solve_checks_of(fake_matrix(A, B))
     assert failing(checks) == {"disk_automorphism"}
+    return checks
+
+
+@fails("self_dual_phase")
+def test_turned_near_origin_state_fails_self_dual_phase(monkeypatch):
+    # a global phase of 10 tol in u+ turns arg b by -10 tol; su11 and
+    # unitarity_right cannot see it
+    cfg = quartic_config(tol=1e-8)
+    turn = cmath.exp(10j * cfg.tol)
+    untouched = bases.eval_singularity
+
+    def turned(config, r, **kwargs):
+        sample = untouched(config, r, **kwargs)
+        s = sample.state
+        return sample._replace(state=StateVector(s.r, s.u * turn, s.du * turn))
+
+    m = transfer_matrix(cfg)
+    checks = solve_checks(cfg, m, scattering_coefficients(m), blaschke_params(m, tol=cfg.tol))
+    assert failing(checks) == set()
+    monkeypatch.setattr(bases, "eval_singularity", turned)
+    m = transfer_matrix(cfg)
+    checks = solve_checks(cfg, m, scattering_coefficients(m), blaschke_params(m, tol=cfg.tol))
+    assert failing(checks) == {"self_dual_phase"}
     return checks
 
 

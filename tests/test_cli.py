@@ -154,6 +154,15 @@ class TestSolve:
         assert main(["solve", "--config", path, "--output", "-"]) == 2
         assert capsys.readouterr().err.startswith("BadGrid:")
 
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_k_squared_overflow_exit_2(self, tmp_path, capsys, p):
+        # k = 1e170 is finite, but k^2 in J and in the far series is not
+        path = write_config(tmp_path, "huge_k.json", p=p, k=1e170)
+        assert main(["solve", "--config", path, "--output", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BadGrid:") and "k = 1e+170" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "overrides",
         [

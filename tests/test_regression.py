@@ -5,11 +5,12 @@ strong-core sweep base (p = 4, lambda = 1, l+nu = 1/2, tol 1e-8) at
 three k, each checked to ``tol * max(1, |a|)``: the scale of the
 stabilization level differences and of ``verify``'s global error, equal
 to ``tol`` except for ``degenerate_barrier`` (|a| ~ 4150), whose golden
-comes from a tol-1e-7 extraction.  The quartic inner-leg step count pins
+comes from a tol-1e-7 extraction.  The ``inverse_power`` golden comes
+from a tol-1e-11 extraction.  The quartic inner-leg step count pins
 the step control and both matching-radius choices (the leg runs from
 ``choose_r_min`` to ``choose_r_max_start``): a change to the error norm,
-the step size policy, the near-origin error bound or the far-field
-truncation estimate moves it.
+the step size policy, the near-origin basis or its estimate, or the
+far-field truncation estimate moves it.
 """
 
 from pathlib import Path
@@ -34,6 +35,8 @@ GOLDEN = {
                            complex(40.027237057183186, 4152.270955138678)),
     "gaussian_barrier": (complex(-1.1627159214950944, -1.081569553917947),
                          complex(-0.9148369756226604, -0.8275109196221762)),
+    "inverse_power": (complex(-0.48288575720924753, -0.9638331227881469),
+                      complex(0.37521763158067456, -0.14616659005906787)),
     "core_k0.7": (complex(0.44041658985856624, -0.9708573711719812),
                   complex(0.26127648912531615, -0.26127648945406573)),
     "core_k1.5": (complex(-0.060680209084130125, -1.0124367225273851),
@@ -41,7 +44,7 @@ GOLDEN = {
     "core_k2.3": (complex(-0.46636959369283554, -0.8899906792588773),
                   complex(0.06922429852047186, -0.06922429847465615)),
 }
-QUARTIC_INNER_STEPS = 3529
+QUARTIC_INNER_STEPS = 463
 
 
 def _config(name: str):
