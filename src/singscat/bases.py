@@ -105,6 +105,8 @@ _MIN_DUAL_STEP = 0.02
 
 #: Power-law terms (alpha, g) of J - k^2, alpha > 0, in increasing alpha.
 _Terms = tuple[tuple[float, float], ...]
+#: Far-series terms (band n, -gamma, s_gamma), see :func:`_series_coefficients`.
+_Series = tuple[tuple[int, float, complex], ...]
 
 
 class BasisSample(NamedTuple):
@@ -115,8 +117,7 @@ class BasisSample(NamedTuple):
     trunc_error: float
 
 
-@functools.lru_cache(maxsize=64)
-def _series_coefficients(k: float, terms: _Terms) -> tuple[tuple[int, float, complex], ...]:
+def _series_coefficients(k: float, terms: _Terms) -> _Series:
     """Nonzero terms (n, -gamma, s_gamma) of the far-field correction
     series of J = k^2 + sum g r^(-alpha) over ``terms``, in increasing
     gamma, n = int(gamma) <= M + 1, then a zero term in band M + 2.  The
@@ -149,16 +150,16 @@ def _series_coefficients(k: float, terms: _Terms) -> tuple[tuple[int, float, com
     return (*out, (cap, 0.0, 0j))
 
 
-def _far_series(k: float, terms: _Terms, r: float) -> tuple[complex, complex, float, int]:
+def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, complex, float, int]:
     """u1 and du1/dr of the outgoing far member of J = k^2 + sum g r^(-alpha)
-    at r, the truncation estimate of its series and the order used.
+    at r, from the :func:`_series_coefficients` of its terms, with the
+    truncation estimate of the series and the order used.
 
     The series is summed band by band while a band's sum of moduli
     decreases; that sum for the first band that does not, or past order
     M, relative to |f| is the estimate.
     """
     f, df, omitted, used, prev_mag = 1.0 + 0j, 0j, 0.0, 0, math.inf
-    coefficients = _series_coefficients(k, terms)
     band, f_band, df_band, mag = coefficients[0][0], 0j, 0j, 0.0
     for n, e, c in coefficients:
         if n != band:  # band closed; the final zero term closes the last one
@@ -184,6 +185,12 @@ def _far_terms(config: ValidatedConfig) -> _Terms:
     return tuple(t for t in power_terms(config) if t[0] > 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _far_coefficients(config: ValidatedConfig) -> _Series:
+    """The far series of the problem, built once per config."""
+    return _series_coefficients(config.k, _far_terms(config))
+
+
 def eval_asymptotic(
     config: ValidatedConfig, r: float, *, raise_on_error: bool = True
 ) -> BasisSample:
@@ -195,7 +202,7 @@ def eval_asymptotic(
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    u1, du1, est, used = _far_series(config.k, _far_terms(config), r)
+    u1, du1, est, used = _far_series(config.k, _far_coefficients(config), r)
     if config.extra_potential:  # a Gaussian barrier's tail; a power law leaves none
         est += config.extra_potential.tail_integral(r) / (2.0 * config.k)
     if raise_on_error and est > config.tol:
@@ -288,19 +295,29 @@ def _barrier_phase(config: ValidatedConfig, r: float) -> float:
     return ep.origin_phase(r, config.lam, config.p) if ep is not None else 0.0
 
 
-# A near-origin member maps (config, r) to (u+, du+/dr, estimate), the
-# estimate without a Gaussian barrier's phase.
-_Member = Callable[[ValidatedConfig, float], tuple[complex, complex, float]]
+class _Basis(NamedTuple):
+    """A near-origin basis.  ``member(config, r)`` gives u+, du+/dr and
+    the truncation estimate at r; ``estimate(config, r)`` gives the
+    estimate alone, which the radius search evaluates.  Neither includes
+    a Gaussian barrier's phase."""
+
+    member: Callable[[ValidatedConfig, float], tuple[complex, complex, float]]
+    estimate: Callable[[ValidatedConfig, float], float]
+
+
+def _conformal_estimate(config: ValidatedConfig, r: float) -> float:
+    """The WKB phase contribution of k^2 over (0, r), which the p = 2
+    basis does not resolve."""
+    return config.k ** 2 * r * r / (4.0 * math.sqrt(config.lam))
 
 
 def _conformal_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
-    """The p = 2 basis, and the WKB phase contribution of k^2 over (0, r),
-    which it does not resolve (the centrifugal term is absorbed into the
-    effective coupling)."""
+    """The p = 2 basis (the centrifugal term is absorbed into the
+    effective coupling) and its estimate."""
     th = config.theta
     u = math.sqrt(r / th) * cmath.exp(1j * th * math.log(config.mu * r))
     du = u * (0.5 / r + 1j * th / r)
-    return u, du, config.k ** 2 * r * r / (4.0 * math.sqrt(config.lam))
+    return u, du, _conformal_estimate(config, r)
 
 
 def _hankel_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
@@ -327,6 +344,11 @@ def _hankel_member(config: ValidatedConfig, r: float) -> tuple[complex, complex,
     return u, du, pert.remainder
 
 
+def _hankel_estimate(config: ValidatedConfig, r: float) -> float:
+    """The Hankel basis's bound, without evaluating Hankel functions."""
+    return origin_perturbation(config, r).remainder
+
+
 def _dual_problem(config: ValidatedConfig) -> tuple[float, _Terms] | None:
     """k' and the power-law terms of J' - k'^2 of the dual problem P', or
     None where the dual basis is not offered.
@@ -351,34 +373,41 @@ def _dual_problem(config: ValidatedConfig) -> tuple[float, _Terms] | None:
     return beta * math.sqrt(config.lam), tuple(sorted(t for t in terms if t[1] != 0.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _dual_series(config: ValidatedConfig) -> tuple[float, _Series]:
+    """k' and the far series of the dual problem, built once per config."""
+    k_dual, terms = _dual_problem(config)
+    return k_dual, _series_coefficients(k_dual, terms)
+
+
 def _dual_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
     """The p > 2 dual basis: the image of the ingoing far member u2' of
     P' at r' = r^(-n/2), and the far truncation estimate of P' there."""
-    k_dual, terms = _dual_problem(config)
+    k_dual, coefficients = _dual_series(config)
     n, quarter_p = config.n_exponent, 0.25 * config.p
     r_dual = r ** (-0.5 * n)
-    u1, du1, est, _ = _far_series(k_dual, terms, r_dual)
+    u1, du1, est, _ = _far_series(k_dual, coefficients, r_dual)
     pref = _EXP_M_I_PI_4 * math.sqrt(2.0 / n) * r ** quarter_p
     u = pref * u1.conjugate()
     du = pref * (quarter_p * u1.conjugate() - 0.5 * n * r_dual * du1.conjugate()) / r
     return u, du, est
 
 
-def _member_error(member: _Member, config: ValidatedConfig, r: float) -> float:
-    """Estimate of ``member`` at r with a Gaussian barrier's phase; the
-    Hankel basis's bound is taken without evaluating Hankel functions."""
-    if member is _hankel_member:
-        est = origin_perturbation(config, r).remainder
-    else:
-        est = member(config, r)[2]
-    return est + _barrier_phase(config, r)
+def _dual_estimate(config: ValidatedConfig, r: float) -> float:
+    """The far truncation of P' at r' = r^(-n/2)."""
+    return _dual_member(config, r)[2]
+
+
+_CONFORMAL = _Basis(_conformal_member, _conformal_estimate)
+_HANKEL = _Basis(_hankel_member, _hankel_estimate)
+_DUAL = _Basis(_dual_member, _dual_estimate)
 
 
 class _Origin(NamedTuple):
     """The near-origin basis of one problem and its inner radius, None
     where no radius up to :func:`r_min_cap` meets ``0.1 tol``."""
 
-    member: _Member
+    basis: _Basis
     r_min: float | None
 
 
@@ -386,7 +415,8 @@ class _Origin(NamedTuple):
 def _origin(config: ValidatedConfig) -> _Origin:
     """Choose the near-origin basis of a problem: of those offered, the one
     whose estimate meets ``0.1 tol`` at the larger radius, the first
-    offered (conformal or Hankel) where none does.
+    offered (conformal or Hankel) where none does or where
+    :func:`r_min_cap` finds no core-dominated region.
 
     Each radius is searched from ``config.r_min`` up to
     :func:`r_min_cap`: where the estimate holds there, the radius is
@@ -395,22 +425,26 @@ def _origin(config: ValidatedConfig) -> _Origin:
     this outward search in r is the inward far-radius search of P' in r'.
     """
     if config.is_conformal:
-        members: tuple[_Member, ...] = (_conformal_member,)
+        offered: tuple[_Basis, ...] = (_CONFORMAL,)
     elif _dual_problem(config) is None:
-        members = (_hankel_member,)
+        offered = (_HANKEL,)
     else:
-        members = (_hankel_member, _dual_member)
+        offered = (_HANKEL, _DUAL)
+    best = _Origin(offered[0], None)
+    try:
+        cap = r_min_cap(config)
+    except SingularRegionTooFar:  # choose_r_min raises it; point evaluations go on
+        return best
     target = _TRUNC_SHARE * config.tol
-    cap = r_min_cap(config)
     start = min(config.r_min, cap)
-    best = _Origin(members[0], None)
-    for member in members:
+    for basis in offered:
         try:
-            r = _edge(lambda x: _member_error(member, config, x) <= target, start, 2.0, cap, 400)
+            r = _edge(lambda x: basis.estimate(config, x) + _barrier_phase(config, x) <= target,
+                      start, 2.0, cap, 400)
         except (OverflowError, ZeroDivisionError):  # r^(-n/2) past float64, or at r = 0.0
             r = None
         if r is not None and (best.r_min is None or r > best.r_min):
-            best = _Origin(member, r)
+            best = _Origin(basis, r)
     return best
 
 
@@ -423,8 +457,15 @@ def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
     truncation of the dual problem at r' = r^(-n/2) on the dual basis;
     a Gaussian barrier, not a power law, adds its uncorrected phase
     (``origin_phase``) to either.
+
+    The basis is the one :func:`choose_r_min` picks, so the estimate at r
+    also depends on ``config.r_min``, ``r_max`` and ``tol``.  The first
+    call for a problem makes that choice, which evaluates each offered
+    basis at up to a few hundred radii; later calls reuse it.  It raises
+    nothing where :func:`r_min_cap` does: it then takes the first basis
+    offered (Hankel for p > 2).
     """
-    return _member_error(_origin(config).member, config, r)
+    return _origin(config).basis.estimate(config, r) + _barrier_phase(config, r)
 
 
 def eval_singularity(
@@ -433,12 +474,15 @@ def eval_singularity(
     """Outgoing near-origin member u+ with its derivative at r, on the
     basis that :func:`choose_r_min` picks for the problem.
 
-    Raises :class:`SingularRegionTooFar` when the truncation estimate at
-    r exceeds ``config.tol``.
+    As for :func:`singularity_phase_error`, the first call for a problem
+    makes that choice, and where :func:`r_min_cap` finds no
+    core-dominated region the first basis offered is taken.  Raises
+    :class:`SingularRegionTooFar` when the truncation estimate at r
+    exceeds ``config.tol`` (unless ``raise_on_error=False``).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    u, du, est = _origin(config).member(config, r)
+    u, du, est = _origin(config).basis.member(config, r)
     est += _barrier_phase(config, r)
     if raise_on_error and est > config.tol:
         raise SingularRegionTooFar(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
+from numpy.random import default_rng
 
 from . import bases, connect, disk
 from .currents import current
@@ -93,7 +93,7 @@ def solve_checks(
 
     # an identity of M's form, kept as the solve path's one call of
     # s_matrix_inverse (perfbench's SOLVE_REACH expects it)
-    rng = np.random.default_rng(_RNG_SEED)
+    rng = default_rng(_RNG_SEED)
     auto = 0.0
     for _ in range(100):
         om = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))

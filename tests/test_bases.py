@@ -285,7 +285,7 @@ class TestSingularity:
     def test_perturbation_evaluated_once_per_call(self, monkeypatch):
         # GENERIC keeps the Hankel basis; choosing it evaluates the bound
         # at every trial radius, once per problem, before the spy
-        assert choose_r_min(GENERIC) and bases._origin(GENERIC).member is _hankel_member
+        assert choose_r_min(GENERIC) and bases._origin(GENERIC).basis is bases._HANKEL
         calls = []
 
         def spy(config, r):
@@ -302,6 +302,20 @@ class TestSingularity:
     def test_too_far_raises(self):
         with pytest.raises(SingularRegionTooFar):
             eval_singularity(isp_config(1.0), 1.0)
+
+    def test_point_evaluation_needs_no_core_dominated_region(self):
+        # p just above 2 with a centrifugal term that beats the core at
+        # r = 1: r_min_cap finds no core-dominated region, so choose_r_min
+        # raises, while a point evaluation takes the Hankel basis
+        cfg = validate(ProblemConfig(p=2.0001, lam=1.25, k=1.0, l_plus_nu=1.0, tol=1e-8))
+        with pytest.raises(SingularRegionTooFar, match="centrifugal"):
+            r_min_cap(cfg)
+        plus = eval_singularity(cfg, 0.01, raise_on_error=False)
+        assert bases._origin(cfg).basis is bases._HANKEL
+        assert plus.trunc_error == singularity_phase_error(cfg, 0.01)
+        assert plus.state.u == _hankel_member(cfg, 0.01)[0]
+        with pytest.raises(SingularRegionTooFar, match="centrifugal"):
+            choose_r_min(cfg)
 
 
 class TestDualBasis:
@@ -346,7 +360,7 @@ class TestDualBasis:
     def test_strong_cores_take_the_dual_basis_further_out(self, p):
         cfg = validate(ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5))
         r = choose_r_min(cfg)
-        assert bases._origin(cfg).member is _dual_member
+        assert bases._origin(cfg).basis is bases._DUAL
         assert singularity_phase_error(cfg, r) <= 0.1 * cfg.tol
         # the Hankel bound misses the target there
         assert origin_perturbation(cfg, r).remainder > 0.1 * cfg.tol
@@ -358,7 +372,7 @@ class TestDualBasis:
         cfg = validate(ProblemConfig(p=p, lam=1.25, k=1.0, tol=1e-8))
         assert (_dual_problem(cfg) is None) == (p < 2.4)
         m = transfer_matrix(cfg)
-        assert bases._origin(cfg).member is _hankel_member
+        assert bases._origin(cfg).basis is bases._HANKEL
         assert abs(abs(m.a) ** 2 - abs(m.b) ** 2 - 1.0) < 100.0 * cfg.tol
 
     def test_dual_step_floor_falls_back_to_hankel_before_the_series(self, monkeypatch):
@@ -372,7 +386,7 @@ class TestDualBasis:
                                      extra_potential=w))
         t0 = time.perf_counter()
         assert _dual_problem(cfg) is None
-        assert bases._origin(cfg).member is _hankel_member
+        assert bases._origin(cfg).basis is bases._HANKEL
         assert time.perf_counter() - t0 < 5.0
         assert built == []
         # a step of 0.05 is above the floor: the dual basis is offered

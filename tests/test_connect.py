@@ -19,7 +19,7 @@ from singscat import (
     transfer_matrix,
     validate,
 )
-from singscat import connect
+from singscat import bases, connect
 from singscat.bases import singularity_phase_error
 from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, NoStabilization, PoleProximity
@@ -269,28 +269,57 @@ class TestGenericExponent:
         assert abs(scattering_coefficients(bare).R - c.R) > 1e-3
 
     @pytest.mark.parametrize(
-        "p, k, tol, ref_tol",
-        [(3.0, 1.0, 1e-8, 1e-10), (4.0, 1.0, 1e-8, 1e-10), (6.0, 1.0, 1e-8, 1e-10),
-         (4.0, 0.1, 1e-3, 1e-8)],
-        ids=["p3", "p4", "p6", "p4-loose"],
+        "p, lam, l_plus_nu, tol, ref_tol",
+        [(3.0, 2.0, 0.3, 1e-8, 1e-10), (3.0, 2.0, 0.3, 1e-6, 1e-9), (2.5, 1.0, 0.5, 1e-8, 1e-10)],
+        ids=["p3-lam2", "p3-lam2-loose", "p2.5"],
     )
-    def test_strong_core_against_tight_extraction(self, p, k, tol, ref_tol):
-        # the near-origin basis carries k^2 (to all orders on the dual
-        # basis that these take), so r_min is searched outward past
-        # config.r_min; the result still agrees with a tighter extraction
-        # within tol, and the extraction's own estimates cover the
-        # measured difference: the near-origin estimate at r_min_used, the
-        # far truncation at r_max_used and the last level difference
-        base = ProblemConfig(p=p, lam=1.0, k=k, l_plus_nu=0.5, tol=tol)
+    def test_hankel_core_against_tight_extraction(self, p, lam, l_plus_nu, tol, ref_tol):
+        # the Hankel basis carries the first-order imprint of k^2, so
+        # r_min is searched outward past config.r_min; the result still
+        # agrees with a tighter extraction within tol, and the remainder
+        # bound at r_min_used covers the measured difference (at loose tol
+        # only with the amplitude factor's curvature term in the bound)
+        base = ProblemConfig(p=p, lam=lam, k=1.0, l_plus_nu=l_plus_nu, tol=tol, r_min=1e-4)
         cfg = validate(base)
         m = transfer_matrix(cfg)
+        assert bases._origin(cfg).basis is bases._HANKEL
         ref = transfer_matrix(validate(dataclasses.replace(base, tol=ref_tol)))
         da, db = abs(m.a - ref.a), abs(m.b - ref.b)
         assert max(da, db) <= cfg.tol
-        res = m.residuals
-        assert res.r_min_used > cfg.r_min
-        near = singularity_phase_error(cfg, res.r_min_used)
-        assert near + res.basis_trunc + res.stabilization_diff >= da
+        assert m.residuals.r_min_used > cfg.r_min
+        assert singularity_phase_error(cfg, m.residuals.r_min_used) >= da
+
+    @pytest.mark.parametrize(
+        "p, k, tol, ref_tol",
+        [(3.0, 1.0, 1e-8, 1e-10), (4.0, 1.0, 1e-8, 1e-10), (6.0, 1.0, 1e-8, 1e-10),
+         (8.0, 1.0, 1e-8, 1e-10), (4.0, 0.1, 1e-3, 1e-8)],
+        ids=["p3", "p4", "p6", "p8", "p4-loose"],
+    )
+    def test_strong_core_against_tight_extraction(self, p, k, tol, ref_tol, monkeypatch):
+        # at lambda = 1, l+nu = 1/2 these take the dual basis, which
+        # carries k^2 to all orders, so r_min is searched outward past
+        # config.r_min and the result agrees with a tighter extraction
+        # within tol.  The dual estimate is about the true near-origin
+        # error rather than a bound on it: restarting the same legs (at
+        # 1/30 of the per-step tolerance, so that integration error stays
+        # out) at r_min / 4, where the estimate is far smaller, moves the
+        # matrix by 0.5-2 times the estimate at r_min
+        base = ProblemConfig(p=p, lam=1.0, k=k, l_plus_nu=0.5, tol=tol)
+        cfg = validate(base)
+        m = transfer_matrix(cfg)
+        assert bases._origin(cfg).basis is bases._DUAL
+        ref = transfer_matrix(validate(dataclasses.replace(base, tol=ref_tol)))
+        assert max(abs(m.a - ref.a), abs(m.b - ref.b)) <= cfg.tol
+        r_min = m.residuals.r_min_used
+        assert r_min > cfg.r_min
+        near = singularity_phase_error(cfg, r_min)
+        fine_tol = m.residuals.local_tol / 30.0
+        at_r_min = connect._extract(cfg, fine_tol)
+        monkeypatch.setattr(bases, "choose_r_min", lambda config: r_min / 4.0)
+        inside = connect._extract(cfg, fine_tol)
+        assert singularity_phase_error(cfg, r_min / 4.0) < 0.1 * near
+        shift = max(abs(inside.a - at_r_min.a), abs(inside.b - at_r_min.b)) / max(1.0, abs(m.a))
+        assert 0.5 * near <= shift <= 2.0 * near
 
     @pytest.mark.parametrize(
         "p, lam, k", [(4.0, 1.0, 10.0), (6.0, 0.01, 20.0)], ids=["p4-k10", "p6-k20"]
