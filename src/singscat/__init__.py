@@ -23,7 +23,6 @@ from .connect import (
     TransferMatrix,
     TransferResiduals,
     blaschke_params,
-    full_s_matrix,
     s_matrix,
     s_matrix_inverse,
     scattering_coefficients,
@@ -31,11 +30,9 @@ from .connect import (
 )
 from .currents import current, wronskian
 from .disk import (
-    BlaschkeProduct,
     MobiusFit,
     UnitaryFamilySample,
     absorption_average,
-    blaschke_eval,
     cauchy_reconstruct,
     fit_mobius,
     reconstruction_error_estimate,
@@ -48,7 +45,6 @@ from .model import (
     ProblemConfig,
     ValidatedConfig,
     invariant_callable,
-    normal_invariant,
     validate,
 )
 from .oracle import IspExactResult, isp_exact
@@ -57,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSample",
-    "BlaschkeProduct",
     "ExtraPotential",
     "GaussianBarrier",
     "InversePower",
@@ -75,7 +70,6 @@ __all__ = [
     "UnitaryFamilySample",
     "ValidatedConfig",
     "absorption_average",
-    "blaschke_eval",
     "blaschke_params",
     "cauchy_reconstruct",
     "choose_r_max_start",
@@ -84,10 +78,8 @@ __all__ = [
     "eval_asymptotic",
     "eval_singularity",
     "fit_mobius",
-    "full_s_matrix",
     "invariant_callable",
     "isp_exact",
-    "normal_invariant",
     "propagate",
     "reconstruction_error_estimate",
     "s_matrix",

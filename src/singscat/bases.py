@@ -13,8 +13,9 @@ where f(r) = 1 + sum s_gamma r^(-gamma) corrects for the power-law terms
 g r^(-alpha) of J - k^2, over the exponents generated from 0 by the steps
 1 and alpha - 1.  The series depends on k and those terms only, so it
 serves the dual problem below as well.  The first unit band [n, n+1) of
-gamma whose moduli do not decrease, plus a Gaussian barrier's tail,
-gives the truncation estimate.
+gamma whose moduli do not decrease, plus the first correction of a term
+too steep to enter the series and a Gaussian barrier's tail, gives the
+truncation estimate.
 
 Near the origin (r -> 0) a problem takes one of three bases:
 
@@ -88,7 +89,8 @@ __all__ = [
 
 _MAX_SERIES_ORDER = 8
 #: Far-series exponents are generated below this; a term whose step
-#: alpha - 1 reaches it never enters the series.
+#: alpha - 1 reaches it never enters the series, and its first correction
+#: goes into the estimate instead.
 _SERIES_CAP = _MAX_SERIES_ORDER + 2
 #: Far-field exponents closer than this are one (rounding is far smaller).
 _SAME_EXPONENT = 1e-9
@@ -186,9 +188,15 @@ def _far_terms(config: ValidatedConfig) -> _Terms:
 
 
 @functools.lru_cache(maxsize=64)
-def _far_coefficients(config: ValidatedConfig) -> _Series:
-    """The far series of the problem, built once per config."""
-    return _series_coefficients(config.k, _far_terms(config))
+def _far_coefficients(config: ValidatedConfig) -> tuple[_Series, tuple[tuple[float, float], ...]]:
+    """The far series of the problem, built once per config, and the
+    first corrections (-gamma, |s_gamma|) of the terms left out of it:
+    a term g r^(-alpha) whose step gamma = alpha - 1 reaches the cap
+    first enters as s_gamma = g / (2 i k gamma)."""
+    terms = _far_terms(config)
+    beyond = tuple((1.0 - a, abs(g) / (2.0 * config.k * (a - 1.0)))
+                   for a, g in terms if a - 1.0 >= _SERIES_CAP)
+    return _series_coefficients(config.k, terms), beyond
 
 
 def eval_asymptotic(
@@ -196,13 +204,17 @@ def eval_asymptotic(
 ) -> BasisSample:
     """Outgoing far-field member u1 with its derivative at r.
 
-    The truncation estimate is that of the correction series plus a
-    Gaussian barrier's tail.  Raises :class:`AsymptoticRegionTooClose`
+    The truncation estimate is that of the correction series, plus the
+    first correction of each power-law term too steep for the series
+    (alpha - 1 >= _SERIES_CAP, the core for p >= 11), plus a Gaussian
+    barrier's tail.  Raises :class:`AsymptoticRegionTooClose`
     when it exceeds ``config.tol`` (unless ``raise_on_error=False``).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    u1, du1, est, used = _far_series(config.k, _far_coefficients(config), r)
+    series, beyond = _far_coefficients(config)
+    u1, du1, est, used = _far_series(config.k, series, r)
+    est += sum(s * r ** e for e, s in beyond)
     if config.extra_potential:  # a Gaussian barrier's tail; a power law leaves none
         est += config.extra_potential.tail_integral(r) / (2.0 * config.k)
     if raise_on_error and est > config.tol:
@@ -441,7 +453,7 @@ def _origin(config: ValidatedConfig) -> _Origin:
         try:
             r = _edge(lambda x: basis.estimate(config, x) + _barrier_phase(config, x) <= target,
                       start, 2.0, cap, 400)
-        except (OverflowError, ZeroDivisionError):  # r^(-n/2) past float64, or at r = 0.0
+        except OverflowError:  # r^(-n/2) past float64
             r = None
         if r is not None and (best.r_min is None or r > best.r_min):
             best = _Origin(basis, r)
@@ -557,7 +569,7 @@ def _edge(ok, start: float, step: float, limit: float, tries: int) -> float | No
         else:
             return None
     for _ in range(8):
-        mid = math.sqrt(good * bad)
+        mid = math.sqrt(good) * math.sqrt(bad)  # the product underflows below 1e-154
         if ok(mid):
             good = mid
         else:

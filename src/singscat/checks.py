@@ -6,8 +6,10 @@ defect), ``unitarity_right`` (|R|^2 + |T|^2 = 1),
 (the inverse map round trip), at p = 4 with no W ``self_dual_phase``
 (b = -i b*, which the power-law duality gives there; see
 :mod:`singscat.bases`) and, on the degenerate branch,
-``degenerate_spread`` of the constant map.  :func:`verify_checks` adds the costlier ones: ``global_error``
-(a re-extraction at a finer step tolerance), ``cauchy_consistency`` and
+``degenerate_spread`` of the constant map.  :func:`verify_checks` adds
+the costlier ones: ``global_error`` (a re-extraction at a finer step
+tolerance, projected at twice the far matching radius, so that it sees
+the far truncation too), ``cauchy_consistency`` and
 ``uniform_average`` (boundary samples against direct values),
 ``mu_covariance_phase`` and ``mu_covariance_moduli`` (scale covariance
 of R for p = 2), and ``current_outgoing`` and ``current_origin`` (the
@@ -17,9 +19,8 @@ Every check here can fail on some matrix.  Identities that
 M = [[a, b], [b*, a*]] obeys for any a != 0 (the left-moving unitarity
 and Stokes relations, unimodularity on the circle, the Blaschke phase
 identities and the Blaschke form itself) and the limits of J are
-asserted by the test suite instead; the Wronskian drift and the stabilization of the sweep are
-enforced by raises in :func:`singscat.propagate` and
-:func:`singscat.transfer_matrix`, and their values stay in
+asserted by the test suite instead; the Wronskian drift is enforced by
+a raise in :func:`singscat.propagate`, and its value stays in
 :class:`singscat.TransferResiduals`.
 
 Each check is a dict ``{"name", "measured", "tolerance", "status"}``

@@ -7,8 +7,10 @@ Wronskian projection:
     C1 = W[u2, w] / W[u2, u1],      C2 = W[u1, w] / W[u1, u2].
 
 Wronskians of solutions are r-independent, so the projections can be
-evaluated at any radius in the far-field region; they are taken at the
-far matching radius itself.  Both bases are closed under
+evaluated at any radius in the far-field region.  The solution is
+propagated in one leg from the inner radius to the far matching radius,
+the smallest radius where the far basis meets its truncation share of
+``tol``, and projected once there.  Both bases are closed under
 conjugation (u- = u+*, u2 = u1*), so u- resolves as (C2+*, C1+*) and
 the map (C+, C-) -> (C1, C2) has the form
 
@@ -16,8 +18,9 @@ the map (C+, C-) -> (C1, C2) has the form
 
 by construction.  Conservation of the current adds |a|^2 - |b|^2 = 1,
 whose defect is recorded as a diagnostic rather than silently repaired.
-The extraction is repeated under doubling of the far matching radius
-until successive matrices agree to tolerance; the last one is kept.
+``verify``'s global error checks the integration and the far truncation
+estimate together: it re-extracts at a finer step tolerance and projects
+at twice the far matching radius.
 
 From M follow the reflection/transmission amplitudes, and the reduced
 S-matrix as a function of the boundary-condition parameter Omega (the
@@ -35,13 +38,12 @@ of modulus one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from . import bases
 from .currents import wronskian
-from .errors import DegenerateTransmission, NoStabilization, PoleProximity
+from .errors import DegenerateTransmission, PoleProximity
 from .integrate import StateVector, propagate
 from .model import ValidatedConfig
 
@@ -55,14 +57,11 @@ __all__ = [
     "scattering_coefficients",
     "s_matrix",
     "s_matrix_inverse",
-    "full_s_matrix",
     "blaschke_params",
 ]
 
 #: Projective point Omega = infinity (pure-outgoing boundary condition).
 OMEGA_INFINITY = complex(math.inf, 0.0)
-
-_MAX_LEVELS = 9
 
 
 def _is_inf(z: complex) -> bool:
@@ -74,12 +73,11 @@ class TransferResiduals:
     """Measured defects and bookkeeping of one extraction."""
 
     su11_defect: float           # | |a|^2 - |b|^2 - 1 |
-    stabilization_diff: float    # matrix change over the last radius doubling
-    wronskian_drift: float       # conservation drift over the whole run
-    basis_trunc: float           # far-field basis truncation at the final radius
+    wronskian_drift: float       # conservation drift over the leg
+    basis_trunc: float           # far-field basis truncation at r_max_used
     r_min_used: float
     r_max_used: float
-    local_tol: float             # per-step tolerance of the sweep
+    local_tol: float             # per-step tolerance of the leg
 
 
 @dataclass(frozen=True)
@@ -132,70 +130,53 @@ def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, comp
 def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
     """Extract the transfer matrix of a validated configuration.
 
-    Initializes the outgoing solution from the near-origin basis at an
-    automatically refined inner radius, propagates it outward, and
-    projects it onto the far-field basis at the far matching radius.
-    That radius is doubled until successive matrices differ by less
-    than ``tol``; the last matrix is returned.
+    Initializes the outgoing solution from the near-origin basis at the
+    inner radius of :func:`singscat.choose_r_min`, propagates it in one
+    leg to the far matching radius of :func:`singscat.choose_r_max_start`
+    and projects it onto the far-field basis there.  Each basis spends at
+    most 0.1 ``tol`` on truncation at its radius; ``verify``'s
+    ``global_error`` checks the far estimate and the integration together.
 
     Raises
     ------
-    NoStabilization
-        Doubling budget exhausted before successive agreement.
     DriftExceeded
-        A leg's Wronskian drift exceeded ``tol``.
+        The leg's Wronskian drift exceeded ``tol``.
     """
     return _extract(config, config.tol / 2000.0)
 
 
 def _global_error(config: ValidatedConfig, m: TransferMatrix) -> float:
     """max(|da|, |db|) / max(1, |a|) between ``m`` and a re-extraction at
-    1/30 of the per-step tolerance ``m`` was extracted at.
+    1/30 of the per-step tolerance ``m`` was extracted at, projected at
+    max(2 r, r + pi/k) from ``m``'s far matching radius r.
 
     The conservation and unitarity residuals cannot see an error in the
     global phase of a solution; this estimate of the integration error
-    can.  It is scaled like the level differences of the stabilization.
+    and of the far-field truncation at r can.
     """
-    fine = _extract(config, m.residuals.local_tol / 30.0)
+    r = m.residuals.r_max_used
+    fine = _extract(config, m.residuals.local_tol / 30.0, max(2.0 * r, r + math.pi / config.k))
     return max(abs(fine.a - m.a), abs(fine.b - m.b)) / max(1.0, abs(m.a))
 
 
-def _extract(config: ValidatedConfig, local_tol: float) -> TransferMatrix:
-    """One stabilization sweep at per-step tolerance ``local_tol``."""
-    tol = config.tol
+def _extract(
+    config: ValidatedConfig, local_tol: float, r_max: float | None = None
+) -> TransferMatrix:
+    """One leg at per-step tolerance ``local_tol`` and one projection at
+    ``r_max``, by default the far matching radius."""
     r_min = bases.choose_r_min(config)
-    state = bases.eval_singularity(config, r_min).state
-
-    r_level = bases.choose_r_max_start(config)
-    prev: tuple[complex, complex] | None = None
-    drift_total = 0.0
-    diff = math.inf
-
-    for _level in range(_MAX_LEVELS):
-        leg = propagate(config, state, r_level, local_tol=local_tol)
-        state = leg.final
-        drift_total = max(drift_total, leg.wronskian_drift)
-        a, c2, trunc = _project(config, state)
-        b = c2.conjugate()
-        if prev is not None:
-            diff = max(abs(a - prev[0]), abs(b - prev[1])) / max(1.0, abs(a))
-            if diff < tol:
-                break
-        prev = (a, b)
-        r_level = max(2.0 * r_level, r_level + math.pi / config.k)
-    else:
-        raise NoStabilization(
-            f"transfer matrix not stable after {_MAX_LEVELS - 1} doublings "
-            f"(last change {diff:.3e} > tol {tol:.1e})"
-        )
-
+    near = bases.eval_singularity(config, r_min).state
+    if r_max is None:
+        r_max = bases.choose_r_max_start(config)
+    leg = propagate(config, near, r_max, local_tol=local_tol)
+    a, c2, trunc = _project(config, leg.final)
+    b = c2.conjugate()
     residuals = TransferResiduals(
         su11_defect=abs(abs(a) ** 2 - abs(b) ** 2 - 1.0),
-        stabilization_diff=diff,
-        wronskian_drift=drift_total,
+        wronskian_drift=leg.wronskian_drift,
         basis_trunc=trunc,
         r_min_used=r_min,
-        r_max_used=r_level,
+        r_max_used=r_max,
         local_tol=local_tol,
     )
     return TransferMatrix(a=a, b=b, residuals=residuals)
@@ -252,14 +233,6 @@ def s_matrix_inverse(m: TransferMatrix, value: complex) -> complex:
     if den == 0:
         return OMEGA_INFINITY
     return num / den
-
-
-def full_s_matrix(
-    config: ValidatedConfig, m: TransferMatrix, omega: complex, *, tol: float = 1e-13
-) -> complex:
-    """Full S-matrix: the reduced map times exp(i pi (l + nu))."""
-    phase = cmath.exp(1j * math.pi * config.l_plus_nu)
-    return phase * s_matrix(m, omega, tol=tol)
 
 
 def _constant_map_tol(tol: float) -> float:

@@ -1,9 +1,7 @@
 """Standalone analytics on the complex unit disk.
 
-Three pieces of machinery, independent of the scattering pipeline:
+Two pieces of machinery, independent of the scattering pipeline:
 
-* finite Blaschke products  F(z) = zeta * prod_j (z - z_j)/(1 - z_j* z),
-  the disk automorphisms' building blocks;
 * least-squares recovery of a Moebius map (a Omega + b)/(b* Omega + a*)
   from point samples, with the hyperbolic normalization |a|^2 - |b|^2 = 1;
 * Cauchy reconstruction of interior values from uniform boundary
@@ -24,49 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideDisk, PoleProximity, RankDeficient
+from .errors import OutsideDisk, RankDeficient
 
 __all__ = [
-    "BlaschkeProduct",
     "UnitaryFamilySample",
     "MobiusFit",
-    "blaschke_eval",
     "fit_mobius",
     "cauchy_reconstruct",
     "reconstruction_error_estimate",
     "absorption_average",
 ]
-
-
-@dataclass(frozen=True)
-class BlaschkeProduct:
-    """Finite Blaschke product: unimodular phase times factors with
-    zeros inside the open unit disk."""
-
-    zeta: complex
-    zeros: tuple[complex, ...]
-
-    def __post_init__(self):
-        if abs(abs(self.zeta) - 1.0) > 1e-12:
-            raise ValueError(f"|zeta| must be 1, got {abs(self.zeta)}")
-        for z in self.zeros:
-            if abs(z) >= 1.0:
-                raise ValueError(f"zero {z} not inside the unit disk")
-
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
-
-
-def blaschke_eval(product: BlaschkeProduct, z: complex) -> complex:
-    """Evaluate the product at z; |result| = 1 whenever |z| = 1."""
-    out = product.zeta
-    for zj in product.zeros:
-        denom = 1.0 - zj.conjugate() * z
-        if abs(denom) < 1e-12 * max(1.0, abs(z)):
-            raise PoleProximity(f"z={z} too close to pole 1/conj({zj})")
-        out *= (z - zj) / denom
-    return out
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,6 @@ class DriftExceeded(SingscatError):
 
 # ------------------------------------------------------------------- connect
 
-class NoStabilization(SingscatError):
-    """Transfer matrix did not stabilize under far-radius doubling."""
-
-
 class DegenerateTransmission(SingscatError):
     """|a| beyond 1/tol: transmission numerically indistinguishable from 0."""
 

@@ -48,7 +48,6 @@ __all__ = [
     "ProblemConfig",
     "ValidatedConfig",
     "validate",
-    "normal_invariant",
     "invariant_callable",
     "power_terms",
 ]
@@ -316,16 +315,6 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
             "(convergent near-origin phase)"
         )
     return valid
-
-
-def normal_invariant(config: ValidatedConfig, r: float) -> float:
-    """Evaluate J(r) for a validated configuration.
-
-    J(r) -> k^2 as r -> infinity and J(r) * r^p -> lambda as r -> 0.
-    """
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return invariant_callable(config)(r)
 
 
 def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:

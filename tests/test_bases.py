@@ -18,7 +18,7 @@ from singscat import (
     current,
     eval_asymptotic,
     eval_singularity,
-    normal_invariant,
+    invariant_callable,
     propagate,
     transfer_matrix,
     validate,
@@ -251,7 +251,7 @@ class TestSingularity:
 
         def residual(part):
             upp = (part(r + h)[1] - part(r - h)[1]) / (2.0 * h)
-            ju = normal_invariant(GENERIC, r) * part(r)[0]
+            ju = invariant_callable(GENERIC)(r) * part(r)[0]
             return abs(upp + ju) / abs(ju)
 
         def corrected_basis(x):
@@ -260,7 +260,7 @@ class TestSingularity:
 
         core = residual(lambda x: hankel_part(GENERIC, x))
         corrected = residual(corrected_basis)
-        assert core == pytest.approx(1.0 / normal_invariant(GENERIC, r), rel=1e-3)
+        assert core == pytest.approx(1.0 / invariant_callable(GENERIC)(r), rel=1e-3)
         # the leftover is the amplitude factor's curvature, of relative
         # order r^(p-2) = r against P / J
         assert corrected < 2.0 * r * core
@@ -457,6 +457,25 @@ class TestRegionSelection:
         barrier = GaussianBarrier(height=20.0, center=2.0, width=0.5)
         r_bare = choose_r_min(validate(ProblemConfig(**bare)))
         assert choose_r_min(validate(ProblemConfig(**bare, extra_potential=barrier))) >= 0.5 * r_bare
+
+    def test_bisection_stays_above_zero(self, monkeypatch):
+        # at lambda = 1e-200 the inner-radius search ends below 1e-154,
+        # where the product of the bracket's ends underflows to 0.0; the
+        # bisection evaluates no estimate at r = 0.0 and the solve still
+        # ends in a named error
+        cfg = validate(ProblemConfig(p=4.0, lam=1e-200, k=1.0))
+        radii = []
+        edge = bases._edge
+
+        def spy(ok, *args):
+            return edge(lambda r: radii.append(r) or ok(r), *args)
+
+        monkeypatch.setattr(bases, "_edge", spy)
+        bases._origin.cache_clear()
+        with pytest.raises(SingularRegionTooFar):
+            transfer_matrix(cfg)
+        assert min(radii) < 1e-154
+        assert 0.0 not in radii
 
     def test_r_max_is_searched_inward(self):
         # config.r_max = 60 is a starting point: where the far series is

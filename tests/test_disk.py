@@ -4,19 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from singscat import (
-    BlaschkeProduct,
     UnitaryFamilySample,
     absorption_average,
-    blaschke_eval,
     cauchy_reconstruct,
     fit_mobius,
     reconstruction_error_estimate,
 )
-from singscat.errors import OutsideDisk, PoleProximity, RankDeficient
+from singscat.errors import OutsideDisk, RankDeficient
 
 
 def mobius(a: complex, b: complex):
@@ -28,54 +24,6 @@ def normalized_pair(rho: float, phase_a: float, phase_b: float) -> tuple[complex
     a = math.sqrt(1.0 + rho * rho) * cmath.exp(1j * phase_a)
     b = rho * cmath.exp(1j * phase_b)
     return a, b
-
-
-class TestBlaschkeEval:
-    def test_single_zero_at_origin_is_identity(self):
-        prod = BlaschkeProduct(zeta=1.0 + 0j, zeros=(0j,))
-        for z in (0.3, -0.5j, 0.9 + 0.05j):
-            assert blaschke_eval(prod, z) == pytest.approx(z)
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        theta=st.floats(0.0, 2.0 * math.pi),
-        z1=st.complex_numbers(max_magnitude=0.95),
-        z2=st.complex_numbers(max_magnitude=0.95),
-    )
-    def test_boundary_preserved(self, theta, z1, z2):
-        prod = BlaschkeProduct(zeta=cmath.exp(0.7j), zeros=(z1, z2))
-        val = blaschke_eval(prod, cmath.exp(1j * theta))
-        assert abs(abs(val) - 1.0) < 1e-12
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            BlaschkeProduct(zeta=2.0 + 0j, zeros=())
-        with pytest.raises(ValueError):
-            BlaschkeProduct(zeta=1.0 + 0j, zeros=(1.2 + 0j,))
-
-    def test_pole_proximity(self):
-        prod = BlaschkeProduct(zeta=1.0 + 0j, zeros=(0.5 + 0j,))
-        with pytest.raises(PoleProximity):
-            blaschke_eval(prod, 2.0 + 0j)  # pole at 1/0.5
-
-    def test_degree_two_winding_count(self):
-        # argument principle: zeros inside the disk counted by the winding
-        # of F(e^(i t)) around the origin on a fine grid
-        prod = BlaschkeProduct(zeta=cmath.exp(0.3j), zeros=(0.3 + 0j, -0.5j))
-        n = 4096
-        total = 0.0
-        prev = cmath.phase(blaschke_eval(prod, 1.0 + 0j))
-        for j in range(1, n + 1):
-            ph = cmath.phase(blaschke_eval(prod, cmath.exp(2j * math.pi * j / n)))
-            d = ph - prev
-            while d > math.pi:
-                d -= 2.0 * math.pi
-            while d < -math.pi:
-                d += 2.0 * math.pi
-            total += d
-            prev = ph
-        winding = total / (2.0 * math.pi)
-        assert winding == pytest.approx(prod.degree, abs=1e-9)
 
 
 class TestFitMobius:

@@ -11,7 +11,6 @@ from singscat import (
     InversePower,
     ProblemConfig,
     ValidatedConfig,
-    normal_invariant,
     validate,
 )
 from singscat.errors import BadGrid, NonSingular, SubcriticalCoupling
@@ -86,22 +85,15 @@ class TestNormalInvariant:
     def test_free_limit_only_k_squared_survives(self):
         # vanishing coupling and l+nu = 1/2: J reduces to k^2
         cfg = validate(ProblemConfig(p=4.0, lam=1e-30, k=2.0, l_plus_nu=0.5))
-        assert normal_invariant(cfg, 1.0) == pytest.approx(4.0, rel=1e-15)
+        assert invariant_callable(cfg)(1.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_pure_conformal_value(self):
         cfg = validate(ProblemConfig(p=2.0, lam=1.25, k=1.0, mu=1.0))
-        assert normal_invariant(cfg, 0.5) == pytest.approx(6.0, rel=1e-15)
+        assert invariant_callable(cfg)(0.5) == pytest.approx(6.0, rel=1e-15)
 
     def test_quartic_core_dominates(self):
         cfg = validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5))
-        assert normal_invariant(cfg, 1e-2) == pytest.approx(1e8, rel=1e-6)
-
-    def test_nonpositive_radius_rejected(self):
-        cfg = validate(ProblemConfig(p=2.0, lam=1.25, k=1.0))
-        with pytest.raises(ValueError):
-            normal_invariant(cfg, 0.0)
-        with pytest.raises(ValueError):
-            normal_invariant(cfg, -1.0)
+        assert invariant_callable(cfg)(1e-2) == pytest.approx(1e8, rel=1e-6)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -116,15 +108,15 @@ class TestNormalInvariant:
         v = validate(cfg)
         r1 = 1e-3 * cfg.r_min
         r2 = 1e-4 * cfg.r_min
-        d1 = abs(normal_invariant(v, r1) * r1 ** cfg.p / cfg.lam - 1.0)
-        d2 = abs(normal_invariant(v, r2) * r2 ** cfg.p / cfg.lam - 1.0)
+        d1 = abs(invariant_callable(v)(r1) * r1 ** cfg.p / cfg.lam - 1.0)
+        d2 = abs(invariant_callable(v)(r2) * r2 ** cfg.p / cfg.lam - 1.0)
         assert d1 < 1e-5
         assert d2 < d1 or d1 < 1e-14
 
     def test_far_limit(self):
         cfg = validate(ProblemConfig(p=4.0, lam=1.0, k=1.3, l_plus_nu=1.0))
         for r in (1e4, 1e6):
-            assert abs(normal_invariant(cfg, r) - 1.3 ** 2) < 2.0 / r ** 2
+            assert abs(invariant_callable(cfg)(r) - 1.3 ** 2) < 2.0 / r ** 2
 
     def test_callable_matches_function(self):
         ep = ExtraPotential.from_descriptor(
@@ -142,7 +134,6 @@ class TestNormalInvariant:
             for r in (1e-3, 0.3, 2.0, 17.0):
                 w = ep.value(r) if cfg.extra_potential else 0.0
                 expected = cfg.k ** 2 + cfg.lam * r ** (-cfg.p) - cf / r ** 2 - w
-                assert j(r) == normal_invariant(cfg, r)
                 assert j(r) == pytest.approx(expected, rel=1e-14)
 
     def test_barrier_carves_into_invariant(self):
@@ -150,7 +141,7 @@ class TestNormalInvariant:
             {"name": "gaussian_barrier", "height": 14.0, "center": 3.0, "width": 1.1}
         )
         cfg = validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, extra_potential=ep))
-        assert normal_invariant(cfg, 3.0) < 0.0  # classically forbidden at the top
+        assert invariant_callable(cfg)(3.0) < 0.0  # classically forbidden at the top
 
 
 class TestConfigSerialization:

@@ -2,11 +2,11 @@
 
 Golden transfer matrices for every config in ``configs/`` and for the
 strong-core sweep base (p = 4, lambda = 1, l+nu = 1/2, tol 1e-8) at
-three k, each checked to ``tol * max(1, |a|)``: the scale of the
-stabilization level differences and of ``verify``'s global error, equal
-to ``tol`` except for ``degenerate_barrier`` (|a| ~ 4150), whose golden
-comes from a tol-1e-7 extraction.  The ``inverse_power`` golden comes
-from a tol-1e-11 extraction.  The quartic inner-leg step count pins
+three k, each checked to ``tol * max(1, |a|)``: the scale of ``verify``'s
+global error, equal to ``tol`` except for ``degenerate_barrier``
+(|a| ~ 4150), whose golden comes from a tol-1e-7 extraction.  The
+``inverse_power`` golden comes from a tol-1e-11 extraction, and the
+``strong_core_p12`` golden from a tol-1e-12 one.  The quartic inner-leg step count pins
 the step control and both matching-radius choices (the leg runs from
 ``choose_r_min`` to ``choose_r_max_start``): a change to the error norm,
 the step size policy, the near-origin basis or its estimate, or the
@@ -37,6 +37,8 @@ GOLDEN = {
                          complex(-0.9148369756226604, -0.8275109196221762)),
     "inverse_power": (complex(-0.48288575720924753, -0.9638331227881469),
                       complex(0.37521763158067456, -0.14616659005906787)),
+    "strong_core_p12": (complex(0.8766640457893409, -0.9757327318283102),
+                        complex(-0.4122433139075605, -0.7420577223365988)),
     "core_k0.7": (complex(0.44041658985856624, -0.9708573711719812),
                   complex(0.26127648912531615, -0.26127648945406573)),
     "core_k1.5": (complex(-0.060680209084130125, -1.0124367225273851),
