@@ -81,7 +81,6 @@ __all__ = [
     "eval_asymptotic",
     "eval_singularity",
     "origin_perturbation",
-    "singularity_phase_error",
     "choose_r_min",
     "r_min_cap",
     "choose_r_max_start",
@@ -152,16 +151,16 @@ def _series_coefficients(k: float, terms: _Terms) -> _Series:
     return (*out, (cap, 0.0, 0j))
 
 
-def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, complex, float, int]:
+def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, complex, float]:
     """u1 and du1/dr of the outgoing far member of J = k^2 + sum g r^(-alpha)
     at r, from the :func:`_series_coefficients` of its terms, with the
-    truncation estimate of the series and the order used.
+    truncation estimate of the series.
 
     The series is summed band by band while a band's sum of moduli
     decreases; that sum for the first band that does not, or past order
     M, relative to |f| is the estimate.
     """
-    f, df, omitted, used, prev_mag = 1.0 + 0j, 0j, 0.0, 0, math.inf
+    f, df, omitted, prev_mag = 1.0 + 0j, 0j, 0.0, math.inf
     band, f_band, df_band, mag = coefficients[0][0], 0j, 0j, 0.0
     for n, e, c in coefficients:
         if n != band:  # band closed; the final zero term closes the last one
@@ -170,7 +169,7 @@ def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, com
                 break
             f += f_band
             df += df_band
-            used, prev_mag = band, mag
+            prev_mag = mag
             band, f_band, df_band, mag = n, 0j, 0j, 0.0
         t = c * r ** e
         f_band += t
@@ -179,7 +178,28 @@ def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, com
 
     pref = _EXP_M_I_PI_4 / math.sqrt(k)
     phase = cmath.exp(1j * k * r)
-    return pref * phase * f, pref * phase * (1j * k * f + df), omitted / max(abs(f), 1e-12), used
+    return pref * phase * f, pref * phase * (1j * k * f + df), omitted / max(abs(f), 1e-12)
+
+
+@functools.lru_cache(maxsize=64)
+def _series(k: float, terms: _Terms) -> tuple[_Series, tuple[tuple[float, float], ...]]:
+    """The far series of J = k^2 + sum g r^(-alpha) over ``terms``, built
+    once per (k, terms) and shared by a problem and its dual, and the
+    first corrections (-gamma, |s_gamma|) of the terms left out of it: a
+    term whose step gamma = alpha - 1 reaches the cap first enters as
+    s_gamma = g / (2 i k gamma)."""
+    beyond = tuple((1.0 - a, abs(g) / (2.0 * k * (a - 1.0)))
+                   for a, g in terms if a - 1.0 >= _SERIES_CAP)
+    return _series_coefficients(k, terms), beyond
+
+
+def _outgoing(k: float, terms: _Terms, r: float) -> tuple[complex, complex, float]:
+    """u1, du1/dr and the truncation estimate at r of the outgoing far
+    member of J = k^2 + sum g r^(-alpha) over ``terms``: the estimate of
+    the series plus the first correction of each term too steep for it."""
+    series, beyond = _series(k, terms)
+    u1, du1, est = _far_series(k, series, r)
+    return u1, du1, est + sum(s * r ** e for e, s in beyond)
 
 
 def _far_terms(config: ValidatedConfig) -> _Terms:
@@ -187,41 +207,21 @@ def _far_terms(config: ValidatedConfig) -> _Terms:
     return tuple(t for t in power_terms(config) if t[0] > 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _far_coefficients(config: ValidatedConfig) -> tuple[_Series, tuple[tuple[float, float], ...]]:
-    """The far series of the problem, built once per config, and the
-    first corrections (-gamma, |s_gamma|) of the terms left out of it:
-    a term g r^(-alpha) whose step gamma = alpha - 1 reaches the cap
-    first enters as s_gamma = g / (2 i k gamma)."""
-    terms = _far_terms(config)
-    beyond = tuple((1.0 - a, abs(g) / (2.0 * config.k * (a - 1.0)))
-                   for a, g in terms if a - 1.0 >= _SERIES_CAP)
-    return _series_coefficients(config.k, terms), beyond
-
-
-def eval_asymptotic(
-    config: ValidatedConfig, r: float, *, raise_on_error: bool = True
-) -> BasisSample:
+def eval_asymptotic(config: ValidatedConfig, r: float) -> BasisSample:
     """Outgoing far-field member u1 with its derivative at r.
 
     The truncation estimate is that of the correction series, plus the
     first correction of each power-law term too steep for the series
     (alpha - 1 >= _SERIES_CAP, the core for p >= 11), plus a Gaussian
-    barrier's tail.  Raises :class:`AsymptoticRegionTooClose`
-    when it exceeds ``config.tol`` (unless ``raise_on_error=False``).
+    barrier's tail.  It is reported, not enforced:
+    :func:`choose_r_max_start` picks the radius where it meets its share
+    of ``config.tol``.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    series, beyond = _far_coefficients(config)
-    u1, du1, est, used = _far_series(config.k, series, r)
-    est += sum(s * r ** e for e, s in beyond)
+    u1, du1, est = _outgoing(config.k, _far_terms(config), r)
     if config.extra_potential:  # a Gaussian barrier's tail; a power law leaves none
         est += config.extra_potential.tail_integral(r) / (2.0 * config.k)
-    if raise_on_error and est > config.tol:
-        raise AsymptoticRegionTooClose(
-            f"far-field truncation estimate {est:.3e} > tol {config.tol:.1e} "
-            f"at r={r} (series order {used})"
-        )
     return BasisSample(StateVector(r, u1, du1), est)
 
 
@@ -385,20 +385,13 @@ def _dual_problem(config: ValidatedConfig) -> tuple[float, _Terms] | None:
     return beta * math.sqrt(config.lam), tuple(sorted(t for t in terms if t[1] != 0.0))
 
 
-@functools.lru_cache(maxsize=64)
-def _dual_series(config: ValidatedConfig) -> tuple[float, _Series]:
-    """k' and the far series of the dual problem, built once per config."""
-    k_dual, terms = _dual_problem(config)
-    return k_dual, _series_coefficients(k_dual, terms)
-
-
 def _dual_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
     """The p > 2 dual basis: the image of the ingoing far member u2' of
     P' at r' = r^(-n/2), and the far truncation estimate of P' there."""
-    k_dual, coefficients = _dual_series(config)
+    k_dual, terms = _dual_problem(config)
     n, quarter_p = config.n_exponent, 0.25 * config.p
     r_dual = r ** (-0.5 * n)
-    u1, du1, est, _ = _far_series(k_dual, coefficients, r_dual)
+    u1, du1, est = _outgoing(k_dual, terms, r_dual)
     pref = _EXP_M_I_PI_4 * math.sqrt(2.0 / n) * r ** quarter_p
     u = pref * u1.conjugate()
     du = pref * (quarter_p * u1.conjugate() - 0.5 * n * r_dual * du1.conjugate()) / r
@@ -460,47 +453,24 @@ def _origin(config: ValidatedConfig) -> _Origin:
     return best
 
 
-def singularity_phase_error(config: ValidatedConfig, r: float) -> float:
-    """Truncation estimate at r of the problem's near-origin basis.
-
-    For p = 2 it is the WKB phase over (0, r) of the terms of J that the
-    basis does not resolve, k^2 and W.  For p > 2 it is the remainder
-    bound of :func:`origin_perturbation` on the Hankel basis, or the far
-    truncation of the dual problem at r' = r^(-n/2) on the dual basis;
-    a Gaussian barrier, not a power law, adds its uncorrected phase
-    (``origin_phase``) to either.
-
-    The basis is the one :func:`choose_r_min` picks, so the estimate at r
-    also depends on ``config.r_min``, ``r_max`` and ``tol``.  The first
-    call for a problem makes that choice, which evaluates each offered
-    basis at up to a few hundred radii; later calls reuse it.  It raises
-    nothing where :func:`r_min_cap` does: it then takes the first basis
-    offered (Hankel for p > 2).
-    """
-    return _origin(config).basis.estimate(config, r) + _barrier_phase(config, r)
-
-
-def eval_singularity(
-    config: ValidatedConfig, r: float, *, raise_on_error: bool = True
-) -> BasisSample:
+def eval_singularity(config: ValidatedConfig, r: float) -> BasisSample:
     """Outgoing near-origin member u+ with its derivative at r, on the
     basis that :func:`choose_r_min` picks for the problem.
 
-    As for :func:`singularity_phase_error`, the first call for a problem
-    makes that choice, and where :func:`r_min_cap` finds no
-    core-dominated region the first basis offered is taken.  Raises
-    :class:`SingularRegionTooFar` when the truncation estimate at r
-    exceeds ``config.tol`` (unless ``raise_on_error=False``).
+    The truncation estimate is that basis's (see the module docstring),
+    plus a Gaussian barrier's uncorrected phase over (0, r).  It is
+    reported, not enforced: :func:`choose_r_min` picks the radius where it
+    meets its share of ``config.tol``.  The basis, and so the estimate at
+    r, also depends on ``config.r_min``, ``r_max`` and ``tol``.  The first
+    call for a problem makes that choice, which evaluates each offered
+    basis at up to a few hundred radii; later calls reuse it.  Where
+    :func:`r_min_cap` finds no core-dominated region, the first basis
+    offered (Hankel for p > 2) is taken.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
     u, du, est = _origin(config).basis.member(config, r)
-    est += _barrier_phase(config, r)
-    if raise_on_error and est > config.tol:
-        raise SingularRegionTooFar(
-            f"near-origin truncation estimate {est:.3e} > tol {config.tol:.1e} at r={r}"
-        )
-    return BasisSample(StateVector(r, u, du), est)
+    return BasisSample(StateVector(r, u, du), est + _barrier_phase(config, r))
 
 
 def r_min_cap(config: ValidatedConfig) -> float:
@@ -624,7 +594,7 @@ def choose_r_max_start(config: ValidatedConfig) -> float:
     """
     target = _TRUNC_SHARE * config.tol
     floor = 2.0 * r_min_cap(config)
-    r = _edge(lambda x: eval_asymptotic(config, x, raise_on_error=False).trunc_error <= target,
+    r = _edge(lambda x: eval_asymptotic(config, x).trunc_error <= target,
               config.r_max, 0.5, floor, 15)
     if r is None:
         raise AsymptoticRegionTooClose(

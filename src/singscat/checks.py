@@ -8,12 +8,13 @@ defect), ``unitarity_right`` (|R|^2 + |T|^2 = 1),
 :mod:`singscat.bases`) and, on the degenerate branch,
 ``degenerate_spread`` of the constant map.  :func:`verify_checks` adds
 the costlier ones: ``global_error`` (a re-extraction at a finer step
-tolerance, projected at twice the far matching radius, so that it sees
-the far truncation too), ``cauchy_consistency`` and
-``uniform_average`` (boundary samples against direct values),
-``mu_covariance_phase`` and ``mu_covariance_moduli`` (scale covariance
-of R for p = 2), and ``current_outgoing`` and ``current_origin`` (the
-unit currents of both bases).
+tolerance from half the inner radius, projected at twice the far
+matching radius, so that it sees both truncations too),
+``cauchy_consistency`` and ``uniform_average`` (boundary samples
+against direct values), ``mu_covariance_phase`` and
+``mu_covariance_moduli`` (scale covariance of R for p = 2), and
+``current_outgoing`` and ``current_origin`` (the unit currents of both
+bases).
 
 Every check here can fail on some matrix.  Identities that
 M = [[a, b], [b*, a*]] obeys for any a != 0 (the left-moving unitarity
@@ -159,12 +160,12 @@ def verify_checks(
         checks.append(_check("mu_covariance_moduli", mods, 10.0 * tol))
 
     # the conjugate member carries exactly minus each current
-    far = bases.eval_asymptotic(config, m.residuals.r_max_used, raise_on_error=False)
+    far = bases.eval_asymptotic(config, m.residuals.r_max_used)
     j1 = current(far.state)
     cur_tol = max(100.0 * tol, 10.0 * far.trunc_error)
     checks.append(_check("current_outgoing", abs(j1.real - 2.0), cur_tol))
 
-    near = bases.eval_singularity(config, m.residuals.r_min_used, raise_on_error=False)
+    near = bases.eval_singularity(config, m.residuals.r_min_used)
     jp = current(near.state)
     near_tol = max(100.0 * tol, 10.0 * near.trunc_error)
     checks.append(_check("current_origin", abs(jp.real - 2.0), near_tol))

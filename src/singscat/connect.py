@@ -18,9 +18,9 @@ the map (C+, C-) -> (C1, C2) has the form
 
 by construction.  Conservation of the current adds |a|^2 - |b|^2 = 1,
 whose defect is recorded as a diagnostic rather than silently repaired.
-``verify``'s global error checks the integration and the far truncation
-estimate together: it re-extracts at a finer step tolerance and projects
-at twice the far matching radius.
+``verify``'s global error checks the integration and both truncation
+estimates together: it re-extracts at a finer step tolerance from half
+the inner radius and projects at twice the far matching radius.
 
 From M follow the reflection/transmission amplitudes, and the reduced
 S-matrix as a function of the boundary-condition parameter Omega (the
@@ -135,7 +135,7 @@ def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
     leg to the far matching radius of :func:`singscat.choose_r_max_start`
     and projects it onto the far-field basis there.  Each basis spends at
     most 0.1 ``tol`` on truncation at its radius; ``verify``'s
-    ``global_error`` checks the far estimate and the integration together.
+    ``global_error`` checks both estimates and the integration together.
 
     Raises
     ------
@@ -147,24 +147,31 @@ def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
 
 def _global_error(config: ValidatedConfig, m: TransferMatrix) -> float:
     """max(|da|, |db|) / max(1, |a|) between ``m`` and a re-extraction at
-    1/30 of the per-step tolerance ``m`` was extracted at, projected at
-    max(2 r, r + pi/k) from ``m``'s far matching radius r.
+    1/30 of the per-step tolerance ``m`` was extracted at, started at half
+    ``m``'s inner radius and projected at max(2 r, r + pi/k) from its far
+    matching radius r.
 
     The conservation and unitarity residuals cannot see an error in the
     global phase of a solution; this estimate of the integration error
-    and of the far-field truncation at r can.
+    and of both bases' truncation at ``m``'s radii can.
     """
-    r = m.residuals.r_max_used
-    fine = _extract(config, m.residuals.local_tol / 30.0, max(2.0 * r, r + math.pi / config.k))
+    res = m.residuals
+    r = res.r_max_used
+    fine = _extract(config, res.local_tol / 30.0, 0.5 * res.r_min_used,
+                    max(2.0 * r, r + math.pi / config.k))
     return max(abs(fine.a - m.a), abs(fine.b - m.b)) / max(1.0, abs(m.a))
 
 
 def _extract(
-    config: ValidatedConfig, local_tol: float, r_max: float | None = None
+    config: ValidatedConfig,
+    local_tol: float,
+    r_min: float | None = None,
+    r_max: float | None = None,
 ) -> TransferMatrix:
-    """One leg at per-step tolerance ``local_tol`` and one projection at
-    ``r_max``, by default the far matching radius."""
-    r_min = bases.choose_r_min(config)
+    """One leg at per-step tolerance ``local_tol`` from ``r_min`` and one
+    projection at ``r_max``, by default the inner and far matching radii."""
+    if r_min is None:
+        r_min = bases.choose_r_min(config)
     near = bases.eval_singularity(config, r_min).state
     if r_max is None:
         r_max = bases.choose_r_max_start(config)

@@ -215,7 +215,7 @@ def _run(jfun, u, du, r0, r1, rtol):
         last = abs(h) >= abs(remaining)
         if last:
             h = remaining
-        if abs(h) < 5e-16 * max(abs(r), 1.0):
+        if abs(h) < 5e-16 * abs(r):
             raise StepUnderflow(f"step size underflow at r={r}: h={h}")
 
         u1 = u + h * (a1_0 * du)
@@ -268,8 +268,7 @@ def _run(jfun, u, du, r0, r1, rtol):
         du_new = du + yd
 
         # DOP853's combined estimate |h| E5^2 / sqrt(E5^2 + 0.01 E3^2)
-        # (RMS over the components), each component relative to its size;
-        # a component that is zero at both ends is left out
+        # (RMS over the components), each component relative to its size
         e5u = abs(e0 * du + e5 * d5 + e6 * d6 + e7 * d7 + e8 * d8 + e9 * d9
                   + e10 * d10 + e11 * d11)
         e5d = abs(e0 * g + e5 * g5 + e6 * g6 + e7 * g7 + e8 * g8 + e9 * g9
@@ -278,24 +277,15 @@ def _run(jfun, u, du, r0, r1, rtol):
                   + f10 * d10 + f11 * d11)
         e3d = abs(f0 * g + f5 * g5 + f6 * g6 + f7 * g7 + f8 * g8 + f9 * g9
                   + f10 * g10 + f11 * g11)
-        su = rtol * max(abs(u), abs(u_new))
-        sd = rtol * max(abs(du), abs(du_new))
-        if su and sd:
-            x5 = e5u / su
-            y5 = e5d / sd
-            x3 = e3u / su
-            y3 = e3d / sd
-            q5 = x5 * x5 + y5 * y5
-            q3 = x3 * x3 + y3 * y3
-            count = 2
-        else:  # one component is zero at both ends: the other alone
-            s = su or sd
-            x5 = (e5u if su else e5d) / s if s else 0.0
-            x3 = (e3u if su else e3d) / s if s else 0.0
-            q5 = x5 * x5
-            q3 = x3 * x3
-            count = 1
-        norm = abs(h) * q5 / sqrt((q5 + 0.01 * q3) * count) if q5 else 0.0
+        su = rtol * max(abs(u), abs(u_new), 1e-300)
+        sd = rtol * max(abs(du), abs(du_new), 1e-300)
+        x5 = e5u / su
+        y5 = e5d / sd
+        x3 = e3u / su
+        y3 = e3d / sd
+        q5 = x5 * x5 + y5 * y5
+        q3 = x3 * x3 + y3 * y3
+        norm = abs(h) * q5 / sqrt((q5 + 0.01 * q3) * 2) if q5 else 0.0
 
         if norm <= 1.0:
             cu = (u_new - u) - yu

@@ -43,14 +43,6 @@ class IspExactResult:
     Rp: complex
     Tp: complex
 
-    @property
-    def reflection_modulus(self) -> float:
-        return math.exp(-math.pi * self.theta)
-
-    @property
-    def transmission_probability(self) -> float:
-        return 1.0 - math.exp(-2.0 * math.pi * self.theta)
-
 
 def isp_exact(theta: float, k: float, mu: float) -> IspExactResult:
     """Closed-form transfer matrix and amplitudes for p = 2.

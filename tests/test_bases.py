@@ -34,9 +34,8 @@ from singscat.bases import (
     choose_r_min,
     origin_perturbation,
     r_min_cap,
-    singularity_phase_error,
 )
-from singscat.errors import AsymptoticRegionTooClose, SingularRegionTooFar
+from singscat.errors import SingularRegionTooFar
 from tests.conftest import barrier_config, isp_config, quartic_config
 
 QUARTIC = quartic_config()
@@ -187,17 +186,20 @@ class TestAsymptotic:
         )
         assert abs(one.u - exact) / abs(exact) < 1e-6
 
-    def test_too_close_raises(self):
-        with pytest.raises(AsymptoticRegionTooClose):
-            eval_asymptotic(isp_config(1.0), 2.0)
-        pair = eval_asymptotic(isp_config(1.0), 2.0, raise_on_error=False)
-        assert pair.trunc_error > 1e-10
+    def test_too_close_reports_estimate(self):
+        # the evaluation reports an estimate past tol and leaves the
+        # radius to choose_r_max_start, which finds one further out
+        cfg = isp_config(1.0)
+        close = eval_asymptotic(cfg, 2.0)
+        assert close.trunc_error > cfg.tol
+        assert close.state.r == 2.0
+        assert choose_r_max_start(cfg) > 2.0
 
 
 class TestSingularity:
     def test_conformal_unit_value(self):
         cfg = isp_config(1.0)
-        plus = eval_singularity(cfg, 1.0, raise_on_error=False).state
+        plus = eval_singularity(cfg, 1.0).state
         assert plus.u == pytest.approx(1.0 + 0j, abs=1e-15)
 
     def test_quartic_closed_form(self):
@@ -223,12 +225,12 @@ class TestSingularity:
     def test_conjugation(self):
         # as for the far field: u- = u+* carries exactly minus the current
         for cfg, r in ((isp_config(0.5), 1e-4), (QUARTIC, 0.01)):
-            plus = eval_singularity(cfg, r, raise_on_error=False).state
+            plus = eval_singularity(cfg, r).state
             assert current(plus.conjugate()).real == -current(plus).real
 
     @pytest.mark.parametrize("cfg,r", [(isp_config(1.0), 1e-5), (QUARTIC, 1e-3)])
     def test_unit_currents(self, cfg, r):
-        plus = eval_singularity(cfg, r, raise_on_error=False).state
+        plus = eval_singularity(cfg, r).state
         assert current(plus).real == pytest.approx(2.0, abs=1e-10)
         assert current(plus.conjugate()).real == pytest.approx(-2.0, abs=1e-10)
 
@@ -255,7 +257,7 @@ class TestSingularity:
             return abs(upp + ju) / abs(ju)
 
         def corrected_basis(x):
-            got = eval_singularity(GENERIC, x, raise_on_error=False).state
+            got = eval_singularity(GENERIC, x).state
             return got.u, got.du
 
         core = residual(lambda x: hankel_part(GENERIC, x))
@@ -267,7 +269,7 @@ class TestSingularity:
 
     def test_generic_order_currents(self):
         cfg = validate(ProblemConfig(p=3.0, lam=2.0, k=1.0, l_plus_nu=0.3, tol=1e-8))
-        plus = eval_singularity(cfg, 1e-3, raise_on_error=False).state
+        plus = eval_singularity(cfg, 1e-3).state
         assert current(plus).real == pytest.approx(2.0, abs=1e-10)
         assert current(plus.conjugate()).real == pytest.approx(-2.0, abs=1e-10)
 
@@ -276,8 +278,8 @@ class TestSingularity:
         cfg1 = isp_config(th, mu=1.0)
         cfg2 = isp_config(th, mu=3.7)
         for r in (1e-5, 1e-3):
-            a = eval_singularity(cfg1, r, raise_on_error=False).state
-            b = eval_singularity(cfg2, r, raise_on_error=False).state
+            a = eval_singularity(cfg1, r).state
+            b = eval_singularity(cfg2, r).state
             factor = cmath.exp(1j * cfg1.theta * math.log(3.7))
             assert b.u == pytest.approx(a.u * factor, rel=1e-13)
             assert b.du == pytest.approx(a.du * factor, rel=1e-13)
@@ -293,15 +295,20 @@ class TestSingularity:
             return origin_perturbation(config, r)
 
         monkeypatch.setattr(bases, "origin_perturbation", spy)
-        eval_singularity(GENERIC, 0.01, raise_on_error=False)
+        eval_singularity(GENERIC, 0.01)
         assert calls == [0.01]
         calls.clear()
-        eval_singularity(isp_config(1.0), 0.01, raise_on_error=False)  # p = 2: none
+        eval_singularity(isp_config(1.0), 0.01)  # p = 2: none
         assert calls == []
 
-    def test_too_far_raises(self):
-        with pytest.raises(SingularRegionTooFar):
-            eval_singularity(isp_config(1.0), 1.0)
+    def test_too_far_reports_estimate(self):
+        # as for the far field: past tol the estimate is reported, and
+        # choose_r_min finds a radius further in
+        cfg = isp_config(1.0)
+        far = eval_singularity(cfg, 1.0)
+        assert far.trunc_error > cfg.tol
+        assert far.state.r == 1.0
+        assert choose_r_min(cfg) < 1.0
 
     def test_point_evaluation_needs_no_core_dominated_region(self):
         # p just above 2 with a centrifugal term that beats the core at
@@ -310,9 +317,9 @@ class TestSingularity:
         cfg = validate(ProblemConfig(p=2.0001, lam=1.25, k=1.0, l_plus_nu=1.0, tol=1e-8))
         with pytest.raises(SingularRegionTooFar, match="centrifugal"):
             r_min_cap(cfg)
-        plus = eval_singularity(cfg, 0.01, raise_on_error=False)
+        plus = eval_singularity(cfg, 0.01)
         assert bases._origin(cfg).basis is bases._HANKEL
-        assert plus.trunc_error == singularity_phase_error(cfg, 0.01)
+        assert plus.trunc_error == origin_perturbation(cfg, 0.01).remainder
         assert plus.state.u == _hankel_member(cfg, 0.01)[0]
         with pytest.raises(SingularRegionTooFar, match="centrifugal"):
             choose_r_min(cfg)
@@ -322,6 +329,18 @@ class TestDualBasis:
     # (lambda, k, l+nu) of the bare cores; radii where both bases hold,
     # between the float64 floor of the Hankel functions and 1e-3
     CORES = [(1.0, 1.0, 0.5), (2.0, 0.7, 1.3)]
+
+    def test_self_dual_quartic_builds_one_series(self):
+        # at p = 4, lambda = k^2, l+nu = 1/2 the dual problem is the problem
+        # itself, so both ends sum the one far series
+        cfg = quartic_config(tol=1e-8)
+        assert _dual_problem(cfg) == (cfg.k, _far_terms(cfg))
+        bases._series.cache_clear()
+        bases._origin.cache_clear()
+        transfer_matrix(cfg)
+        assert bases._origin(cfg).basis is bases._DUAL
+        info = bases._series.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("p, radii", [
         (3.0, (0.003, 0.01, 0.03)), (4.0, (0.01, 0.03, 0.1)),
@@ -361,7 +380,7 @@ class TestDualBasis:
         cfg = validate(ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5))
         r = choose_r_min(cfg)
         assert bases._origin(cfg).basis is bases._DUAL
-        assert singularity_phase_error(cfg, r) <= 0.1 * cfg.tol
+        assert eval_singularity(cfg, r).trunc_error <= 0.1 * cfg.tol
         # the Hankel bound misses the target there
         assert origin_perturbation(cfg, r).remainder > 0.1 * cfg.tol
 
@@ -427,9 +446,9 @@ class TestRegionSelection:
         for cfg in (isp_config(2.0), QUARTIC, self.CAPPED):
             r = choose_r_min(cfg)
             target = 0.1 * cfg.tol
-            assert singularity_phase_error(cfg, r) <= target
+            assert eval_singularity(cfg, r).trunc_error <= target
             if r < r_min_cap(cfg):
-                assert singularity_phase_error(cfg, 1.003 * r) > target
+                assert eval_singularity(cfg, 1.003 * r).trunc_error > target
 
     def test_r_min_is_searched_outward(self):
         # the estimate holds at config.r_min = 1e-3 for QUARTIC, and the
@@ -445,9 +464,9 @@ class TestRegionSelection:
         for cfg in (isp_config(2.0), QUARTIC, barrier_config(), self.OUTWARD, self.FLOORED):
             r = choose_r_max_start(cfg)
             target = 0.1 * cfg.tol
-            assert eval_asymptotic(cfg, r, raise_on_error=False).trunc_error <= target
+            assert eval_asymptotic(cfg, r).trunc_error <= target
             if r > 2.0 * r_min_cap(cfg):
-                assert eval_asymptotic(cfg, r / 1.003, raise_on_error=False).trunc_error > target
+                assert eval_asymptotic(cfg, r / 1.003).trunc_error > target
         assert choose_r_max_start(self.FLOORED) == 2.0 * r_min_cap(self.FLOORED)
 
     def test_barrier_far_from_origin_keeps_r_min(self):

@@ -3,7 +3,15 @@ import dataclasses
 import functools
 import math
 
-from singscat import bases, blaschke_params, connect, scattering_coefficients, transfer_matrix
+from singscat import (
+    ProblemConfig,
+    bases,
+    blaschke_params,
+    connect,
+    scattering_coefficients,
+    transfer_matrix,
+    validate,
+)
 from singscat import checks as suite
 from singscat.checks import solve_checks, verify_checks
 from singscat.currents import current
@@ -121,8 +129,8 @@ def test_turned_near_origin_state_fails_self_dual_phase(monkeypatch):
     turn = cmath.exp(10j * cfg.tol)
     untouched = bases.eval_singularity
 
-    def turned(config, r, **kwargs):
-        sample = untouched(config, r, **kwargs)
+    def turned(config, r):
+        sample = untouched(config, r)
         s = sample.state
         return sample._replace(state=StateVector(s.r, s.u * turn, s.du * turn))
 
@@ -146,6 +154,33 @@ def test_phase_rotated_solve_fails_global_error(solved):
     smap = blaschke_params(m, tol=CFG.tol)
     assert failing(solve_checks(sol.config, m, coeffs, smap)) == set()
     return verify_checks(sol.config, m, coeffs, smap, 128)
+
+
+@fails("global_error")
+def test_under_reported_near_estimate_fails_global_error(monkeypatch):
+    # a dual-basis estimate 50 times too small moves r_min out to where u+
+    # is about 5 tol off; no solve check sees it, and global_error, which
+    # restarts its re-extraction at half r_min, does
+    cfg = validate(ProblemConfig(p=6.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-8))
+
+    def under_reported(config, r):
+        u, du, est = bases._dual_member(config, r)
+        return u, du, 0.02 * est
+
+    monkeypatch.setattr(bases, "_DUAL", bases._Basis(
+        under_reported, lambda config, r: under_reported(config, r)[2]))
+    bases._origin.cache_clear()
+    try:
+        m = transfer_matrix(cfg)
+        assert bases._origin(cfg).basis.member is under_reported
+        coeffs = scattering_coefficients(m, tol=cfg.tol)
+        smap = blaschke_params(m, tol=cfg.tol)
+        assert failing(solve_checks(cfg, m, coeffs, smap)) == set()
+        checks = verify_checks(cfg, m, coeffs, smap, 128)
+    finally:
+        bases._origin.cache_clear()  # the next test of this problem takes the honest basis
+    assert failing(checks) == {"global_error"}
+    return checks
 
 
 @fails("cauchy_consistency", "uniform_average")

@@ -423,8 +423,8 @@ class TestVerify:
         # which projects its re-extraction at twice r_max, does
         honest = bases.eval_asymptotic
 
-        def under_reported(config, r, *, raise_on_error=True):
-            far = honest(config, r, raise_on_error=False)
+        def under_reported(config, r):
+            far = honest(config, r)
             return BasisSample(far.state, 1e-3 * far.trunc_error)
 
         monkeypatch.setattr(bases, "eval_asymptotic", under_reported)

@@ -10,6 +10,7 @@ from singscat import (
     TransferMatrix,
     blaschke_params,
     eval_asymptotic,
+    eval_singularity,
     isp_exact,
     s_matrix,
     s_matrix_inverse,
@@ -18,7 +19,6 @@ from singscat import (
     validate,
 )
 from singscat import bases, connect, integrate
-from singscat.bases import singularity_phase_error
 from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, PoleProximity
 from tests.conftest import isp_config
@@ -290,7 +290,7 @@ class TestGenericExponent:
         assert m.residuals.r_min_used > cfg.r_min
         # the error budget holds both truncation shares: the near-origin
         # bound at r_min_used and the far estimate at r_max_used
-        near = singularity_phase_error(cfg, m.residuals.r_min_used)
+        near = eval_singularity(cfg, m.residuals.r_min_used).trunc_error
         assert near + m.residuals.basis_trunc >= da
 
     @pytest.mark.parametrize(
@@ -299,7 +299,7 @@ class TestGenericExponent:
          (8.0, 1.0, 1e-8, 1e-10), (4.0, 0.1, 1e-3, 1e-8)],
         ids=["p3", "p4", "p6", "p8", "p4-loose"],
     )
-    def test_strong_core_against_tight_extraction(self, p, k, tol, ref_tol, monkeypatch):
+    def test_strong_core_against_tight_extraction(self, p, k, tol, ref_tol):
         # at lambda = 1, l+nu = 1/2 these take the dual basis, which
         # carries k^2 to all orders, so r_min is searched outward past
         # config.r_min and the result agrees with a tighter extraction
@@ -316,12 +316,11 @@ class TestGenericExponent:
         assert max(abs(m.a - ref.a), abs(m.b - ref.b)) <= cfg.tol
         r_min = m.residuals.r_min_used
         assert r_min > cfg.r_min
-        near = singularity_phase_error(cfg, r_min)
+        near = eval_singularity(cfg, r_min).trunc_error
         fine_tol = m.residuals.local_tol / 30.0
         at_r_min = connect._extract(cfg, fine_tol)
-        monkeypatch.setattr(bases, "choose_r_min", lambda config: r_min / 4.0)
-        inside = connect._extract(cfg, fine_tol)
-        assert singularity_phase_error(cfg, r_min / 4.0) < 0.1 * near
+        inside = connect._extract(cfg, fine_tol, r_min / 4.0)
+        assert eval_singularity(cfg, r_min / 4.0).trunc_error < 0.1 * near
         shift = max(abs(inside.a - at_r_min.a), abs(inside.b - at_r_min.b)) / max(1.0, abs(m.a))
         assert 0.5 * near <= shift <= 2.0 * near
 

@@ -112,7 +112,7 @@ def test_tiny_drift_budget_raises():
     # the drift budget is tol itself; at tol 1e-18 even the local_tol
     # floor 4e-15 cannot meet it
     cfg = isp_config(1.0, tol=1e-18)
-    init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
+    init = eval_singularity(cfg, 1e-4).state
     with pytest.raises(DriftExceeded):
         propagate(cfg, init, 5.0)
 
@@ -120,7 +120,7 @@ def test_tiny_drift_budget_raises():
 def test_drift_over_budget_raises_on_the_only_run(monkeypatch):
     # local_tol 1e-8 drifts about 6e-9, past tol 1e-10: one run, no retry
     cfg = isp_config(1.0)
-    init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
+    init = eval_singularity(cfg, 1e-4).state
     runs = []
     run = integrate._run
 
@@ -137,7 +137,7 @@ def test_drift_over_budget_raises_on_the_only_run(monkeypatch):
 @pytest.mark.parametrize("local_tol", [1e-12, 1e-20])
 def test_local_tol_used_is_the_floored_request(local_tol):
     cfg = isp_config(1.0)
-    init = eval_singularity(cfg, 1e-4, raise_on_error=False).state
+    init = eval_singularity(cfg, 1e-4).state
     traj = propagate(cfg, init, 5.0, local_tol=local_tol)
     assert traj.local_tol == max(local_tol, 4e-15)
     assert traj.wronskian_drift <= cfg.tol

@@ -5,12 +5,13 @@ strong-core sweep base (p = 4, lambda = 1, l+nu = 1/2, tol 1e-8) at
 three k, each checked to ``tol * max(1, |a|)``: the scale of ``verify``'s
 global error, equal to ``tol`` except for ``degenerate_barrier``
 (|a| ~ 4150), whose golden comes from a tol-1e-7 extraction.  The
-``inverse_power`` golden comes from a tol-1e-11 extraction, and the
-``strong_core_p12`` golden from a tol-1e-12 one.  The quartic inner-leg step count pins
-the step control and both matching-radius choices (the leg runs from
-``choose_r_min`` to ``choose_r_max_start``): a change to the error norm,
-the step size policy, the near-origin basis or its estimate, or the
-far-field truncation estimate moves it.
+``inverse_power`` golden comes from a tol-1e-11 extraction, the
+``strong_core_p12`` golden from a tol-1e-12 one and the
+``hankel_inverse_power`` golden from a tol-1e-7 one.  The quartic
+inner-leg step count pins the step control and both matching-radius
+choices (the leg runs from ``choose_r_min`` to ``choose_r_max_start``):
+a change to the error norm, the step size policy, the near-origin basis
+or its estimate, or the far-field truncation estimate moves it.
 """
 
 from pathlib import Path
@@ -39,6 +40,8 @@ GOLDEN = {
                       complex(0.37521763158067456, -0.14616659005906787)),
     "strong_core_p12": (complex(0.8766640457893409, -0.9757327318283102),
                         complex(-0.4122433139075605, -0.7420577223365988)),
+    "hankel_inverse_power": (complex(0.41856469005479063, -0.9129445290301588),
+                             complex(0.08446310733649134, 0.0391165128863554)),
     "core_k0.7": (complex(0.44041658985856624, -0.9708573711719812),
                   complex(0.26127648912531615, -0.26127648945406573)),
     "core_k1.5": (complex(-0.060680209084130125, -1.0124367225273851),
