@@ -20,8 +20,13 @@ truncation estimate.
 Near the origin (r -> 0) a problem takes one of three bases:
 
     conformal (p = 2):
-        u+(r) = sqrt(r/theta) (mu r)^(+i theta),  exact for the pure
-        conformal problem; the phase of k^2 over (0, r) is its estimate.
+        u+(r) = sqrt(r/theta) (mu r)^(+i theta) F(r),
+        F = sum c_n (kr/2)^(2n),  c_0 = 1,  c_n = -c_(n-1) / (n (n + i theta)),
+        that is sqrt(r/theta) (2 mu/k)^(i theta) Gamma(1 + i theta) J_(i theta)(kr),
+        the exact solution of the pure conformal problem.  The series
+        converges for every r; the tail after its last term and its
+        rounding are the estimate, so the radius search ends at
+        :func:`r_min_cap`.
     Hankel (p > 2):
         u+(r) = sqrt(pi/n) e^(-i(eta pi/2 + pi/4)) sqrt(r) H2_eta(z)
                 * A(r) e^(-i delta(r)),
@@ -94,6 +99,8 @@ _SERIES_CAP = _MAX_SERIES_ORDER + 2
 #: Far-field exponents closer than this are one (rounding is far smaller).
 _SAME_EXPONENT = 1e-9
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
+#: float64 machine epsilon; the p = 2 series stops at a term below eps |F|.
+_EPS = 2.0 ** -52
 #: Share of ``tol`` that the truncation of either basis may take at the
 #: radii where the propagation starts and ends.
 _TRUNC_SHARE = 0.1
@@ -317,19 +324,37 @@ class _Basis(NamedTuple):
     estimate: Callable[[ValidatedConfig, float], float]
 
 
-def _conformal_estimate(config: ValidatedConfig, r: float) -> float:
-    """The WKB phase contribution of k^2 over (0, r), which the p = 2
-    basis does not resolve."""
-    return config.k ** 2 * r * r / (4.0 * math.sqrt(config.lam))
-
-
 def _conformal_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:
     """The p = 2 basis (the centrifugal term is absorbed into the
-    effective coupling) and its estimate."""
+    effective coupling) and its estimate: the series F of
+    Gamma(1 + i theta) (kr/2)^(-i theta) J_(i theta)(kr) (DLMF 10.2.2),
+    summed until a term falls below eps |F|.
+
+    The term ratios x / (n (n + i theta)), x = (kr/2)^2, shrink with n,
+    so the tail after the last term t is below |t| q / (1 - q) with q the
+    next ratio.  The estimate is that tail plus a rounding bound
+    n eps sum |t_n|, both relative to |F|."""
     th = config.theta
-    u = math.sqrt(r / th) * cmath.exp(1j * th * math.log(config.mu * r))
-    du = u * (0.5 / r + 1j * th / r)
-    return u, du, _conformal_estimate(config, r)
+    x = 0.25 * (config.k * r) ** 2
+    t = f = 1.0 + 0j
+    g = 0j  # sum n t_n = (r/2) dF/dr
+    mag, n = 1.0, 0
+    while abs(t) > _EPS * abs(f):
+        n += 1
+        t *= -x / (n * (n + 1j * th))
+        f += t
+        g += n * t
+        mag += abs(t)
+    q = x / ((n + 1) * abs(n + 1 + 1j * th))
+    est = (abs(t) * q / (1.0 - q) + n * _EPS * mag) / abs(f)
+    pref = math.sqrt(r / th) * cmath.exp(1j * th * math.log(config.mu * r))
+    u = pref * f
+    return u, u * (0.5 + 1j * th) / r + pref * 2.0 * g / r, est
+
+
+def _conformal_estimate(config: ValidatedConfig, r: float) -> float:
+    """The truncation and rounding bound of the p = 2 series."""
+    return _conformal_member(config, r)[2]
 
 
 def _hankel_member(config: ValidatedConfig, r: float) -> tuple[complex, complex, float]:

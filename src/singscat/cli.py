@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -272,7 +273,10 @@ def _grid_spec(s: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about ten times as much."""
     parser = argparse.ArgumentParser(
         prog="singscat",
         description="S-matrix of singular power-law potentials as a map on the unit disk",

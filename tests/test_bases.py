@@ -196,11 +196,58 @@ class TestAsymptotic:
         assert choose_r_max_start(cfg) > 2.0
 
 
+def conformal_reference(cfg, r):
+    """u+ and du+/dr of the p = 2 basis from mpmath's Bessel function at
+    30 digits: sqrt(r/theta) (2 mu/k)^(i theta) Gamma(1 + i theta) J_(i theta)(k r).
+    It takes ``cfg.theta = sqrt(lambda - 1/4)``, not the nominal theta:
+    at theta = 0.01 the two differ by 5.5e-14 relative."""
+    with mp.workdps(30):
+        nu = mp.mpc(0.0, cfg.theta)
+        r = mp.mpf(r)
+        pref = mp.sqrt(r / cfg.theta) * (2 * mp.mpf(cfg.mu) / cfg.k) ** nu * mp.gamma(1 + nu)
+        j = mp.besselj(nu, cfg.k * r)
+        dj = mp.besselj(nu, cfg.k * r, derivative=1)
+        return complex(pref * j), complex(pref * (j / (2 * r) + cfg.k * dj))
+
+
+class TestConformalBasis:
+    @pytest.mark.parametrize("theta", [0.01, 0.5, 2.0])
+    @pytest.mark.parametrize("kr", [0.1, 1.0, 1.46])
+    @pytest.mark.parametrize("k,mu", [(1.0, 1.0), (2.7, 3.7)])
+    def test_matches_bessel_function(self, theta, kr, k, mu):
+        # the series carries k^2 to all orders: u+ and du+ are the Bessel
+        # solution to rounding, and the estimate bounds the difference
+        cfg = isp_config(theta, k=k, mu=mu)
+        u, du, est = bases._conformal_member(cfg, kr / k)
+        want_u, want_du = conformal_reference(cfg, kr / k)
+        err_u = abs(u - want_u) / abs(want_u)
+        assert err_u <= 1e-13
+        assert abs(du - want_du) / abs(want_du) <= 1e-13
+        assert err_u <= est < 1e-13
+
+    def test_inner_radius_reaches_the_cap(self):
+        # an all-orders basis meets 0.1 tol everywhere up to the
+        # core-dominated cap sqrt(lambda/2)/k, which ends the search
+        for theta in (0.05, 0.5, 2.0):
+            for k in (0.5, 2.0):
+                cfg = isp_config(theta, k=k)
+                assert choose_r_min(cfg) == r_min_cap(cfg)
+                assert r_min_cap(cfg) == pytest.approx(math.sqrt(0.5 * cfg.lam) / k, rel=1e-15)
+
+
 class TestSingularity:
     def test_conformal_unit_value(self):
+        # at mu r = 1 and theta = 1 the prefactor is 1, so u+ is the
+        # series F(k r) = Gamma(1 + i) (k r/2)^(-i) J_i(k r) alone; as
+        # k r -> 0 it is the zero-order value 1, with du+ = 1/2 + i
         cfg = isp_config(1.0)
         plus = eval_singularity(cfg, 1.0).state
-        assert plus.u == pytest.approx(1.0 + 0j, abs=1e-15)
+        assert plus.u == pytest.approx(conformal_reference(cfg, 1.0)[0], abs=1e-15)
+        assert plus.u != pytest.approx(1.0 + 0j, abs=0.1)
+        limit = eval_singularity(isp_config(1.0, k=1e-8), 1.0)
+        assert limit.state.u == pytest.approx(1.0 + 0j, abs=1e-15)
+        assert limit.state.du == pytest.approx(0.5 + 1j, abs=1e-15)
+        assert limit.trunc_error < 1e-15
 
     def test_quartic_closed_form(self):
         # for p = 4 the half-integer Hankel solution is elementary,
@@ -303,12 +350,14 @@ class TestSingularity:
 
     def test_too_far_reports_estimate(self):
         # as for the far field: past tol the estimate is reported, and
-        # choose_r_min finds a radius further in
-        cfg = isp_config(1.0)
-        far = eval_singularity(cfg, 1.0)
+        # choose_r_min finds a radius further in (on the Hankel basis; the
+        # p = 2 series holds up to its cap)
+        cfg = NONINTEGER["p2.5"]
+        far = eval_singularity(cfg, 0.1)
+        assert bases._origin(cfg).basis is bases._HANKEL
         assert far.trunc_error > cfg.tol
-        assert far.state.r == 1.0
-        assert choose_r_min(cfg) < 1.0
+        assert far.state.r == 0.1
+        assert choose_r_min(cfg) < 0.1
 
     def test_point_evaluation_needs_no_core_dominated_region(self):
         # p just above 2 with a centrifugal term that beats the core at

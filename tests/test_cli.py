@@ -328,6 +328,19 @@ class TestReconstruct:
         outside = next(r for r in rows if r[0] == "1.5")
         assert outside[7] == "invalid"
 
+    def test_consecutive_calls_share_no_state(self, isp_config_path, tmp_path):
+        # the parser is built once per process; the repeated --omega of
+        # one call must not reach the next
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["reconstruct", "--config", isp_config_path, "--omega", "0.5,0",
+                     "--omega", "0.3,0.1", "--output", str(first)]) == 0
+        assert main(["reconstruct", "--config", isp_config_path, "--output", str(second)]) == 0
+        first_rows = first.read_text().splitlines()
+        assert [r.split(",")[:2] for r in first_rows[1:]] == [
+            ["0", "0"], ["0.5", "0"], ["0.29999999999999999", "0.10000000000000001"]]
+        assert second.read_text().splitlines() == first_rows[:2]
+        assert singscat.cli.build_parser() is singscat.cli.build_parser()
+
     def test_node_doubling_improves(self, isp_config_path, tmp_path):
         diffs = []
         for n in (8, 16):

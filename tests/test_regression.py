@@ -7,7 +7,8 @@ global error, equal to ``tol`` except for ``degenerate_barrier``
 (|a| ~ 4150), whose golden comes from a tol-1e-7 extraction.  The
 ``inverse_power`` golden comes from a tol-1e-11 extraction, the
 ``strong_core_p12`` golden from a tol-1e-12 one and the
-``hankel_inverse_power`` golden from a tol-1e-7 one.  The quartic
+``hankel_inverse_power`` golden from a tol-1e-7 one; the
+``isp_theta005`` golden is the closed form ``isp_exact``.  The quartic
 inner-leg step count pins the step control and both matching-radius
 choices (the leg runs from ``choose_r_min`` to ``choose_r_max_start``):
 a change to the error norm, the step size policy, the near-origin basis
@@ -30,6 +31,8 @@ GOLDEN = {
                    complex(0.03998149130924605, -0.01650505836239541)),
     "isp_theta2": (complex(0.054828237706817884, 0.998497547170038),
                    complex(0.00010238858997017874, -0.001864636988969631)),
+    "isp_theta005": (complex(1.9259047346801692, 0.011260116743291568),
+                     complex(1.6459475171973292, -0.009623301123485042)),
     "quartic": (complex(0.24227633134768034, -1.0053432828647093),
                 complex(0.18629672183515994, -0.1862967218313637)),
     "degenerate_barrier": (complex(2629.9130440733666, 3213.489481110444),
