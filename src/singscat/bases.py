@@ -12,10 +12,13 @@ Far field (r -> infinity):
 where f(r) = 1 + sum s_gamma r^(-gamma) corrects for the power-law terms
 g r^(-alpha) of J - k^2, over the exponents generated from 0 by the steps
 1 and alpha - 1.  The series depends on k and those terms only, so it
-serves the dual problem below as well.  The first unit band [n, n+1) of
-gamma whose moduli do not decrease, plus the first correction of a term
+serves the dual problem below as well.  It is asymptotic, and it is
+summed by unit bands [n, n+1) of gamma up to optimal truncation
+(DLMF 10.17(iii) for p = 2): the first band whose moduli do not
+decrease, or the deepest band built, plus the first correction of a term
 too steep to enter the series and a Gaussian barrier's tail, gives the
-truncation estimate.
+truncation estimate.  All bands below order _SERIES_CAP are built, and
+further ones while the series holds at most _MAX_EXPONENTS exponents.
 
 Near the origin (r -> 0) a problem takes one of three bases:
 
@@ -25,8 +28,10 @@ Near the origin (r -> 0) a problem takes one of three bases:
         that is sqrt(r/theta) (2 mu/k)^(i theta) Gamma(1 + i theta) J_(i theta)(kr),
         the exact solution of the pure conformal problem.  The series
         converges for every r; the tail after its last term and its
-        rounding are the estimate, so the radius search ends at
-        :func:`r_min_cap`.
+        rounding, which grows like e^(kr), are the estimate.  With no W
+        the radius search therefore ends at the far matching radius,
+        where the two series may overlap and the leg between them has
+        no length.
     Hankel (p > 2):
         u+(r) = sqrt(pi/n) e^(-i(eta pi/2 + pi/4)) sqrt(r) H2_eta(z)
                 * A(r) e^(-i delta(r)),
@@ -91,11 +96,15 @@ __all__ = [
     "choose_r_max_start",
 ]
 
-_MAX_SERIES_ORDER = 8
-#: Far-series exponents are generated below this; a term whose step
-#: alpha - 1 reaches it never enters the series, and its first correction
-#: goes into the estimate instead.
-_SERIES_CAP = _MAX_SERIES_ORDER + 2
+#: Far-series exponents are always generated below this; a term whose
+#: step alpha - 1 reaches it never enters the series, and its first
+#: correction goes into the estimate instead.
+_SERIES_CAP = 10
+#: Past _SERIES_CAP the far series grows by whole unit bands while it
+#: holds at most this many exponents: a sparse lattice (integer steps
+#: give one exponent per band) reaches optimal truncation, and a lattice
+#: already denser below the cap keeps that depth and build cost.
+_MAX_EXPONENTS = 64
 #: Far-field exponents closer than this are one (rounding is far smaller).
 _SAME_EXPONENT = 1e-9
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
@@ -128,17 +137,29 @@ class BasisSample(NamedTuple):
 def _series_coefficients(k: float, terms: _Terms) -> _Series:
     """Nonzero terms (n, -gamma, s_gamma) of the far-field correction
     series of J = k^2 + sum g r^(-alpha) over ``terms``, in increasing
-    gamma, n = int(gamma) <= M + 1, then a zero term in band M + 2.  The
-    exponents are generated from 0 by the steps 1 and alpha - 1 > 0, and
-    the equation gives
+    gamma, n = int(gamma), then a zero term in the band after the deepest
+    band built.  The exponents are generated from 0 by the steps 1 and
+    alpha - 1 > 0: all of them below _SERIES_CAP, then unit band after
+    unit band while the series holds at most _MAX_EXPONENTS of them and
+    its coefficients stay finite.  The equation gives
     2 i k gamma s_gamma = (gamma - 1) gamma s_(gamma-1) + sum g s_(gamma+1-alpha).
     """
     steps = {1.0, *(a - 1.0 for a, _ in terms)}
+
+    def closure(found: set[float], cap: int) -> set[float]:  # + every exponent below cap
+        frontier = found
+        while frontier:
+            frontier = {x + d for x in frontier for d in steps if x + d < cap} - found
+            found = found | frontier
+        return found
+
     cap = _SERIES_CAP
-    found = frontier = {0.0}
-    while frontier:
-        frontier = {x + d for x in frontier for d in steps if x + d < cap} - found
-        found = found | frontier
+    found = closure({0.0}, cap)
+    while len(found) <= _MAX_EXPONENTS:
+        wider = closure(found, cap + 1)
+        if len(wider) > _MAX_EXPONENTS:
+            break
+        found, cap = wider, cap + 1
     known = [(0.0, 1.0 + 0j)]
     out = []
 
@@ -152,10 +173,14 @@ def _series_coefficients(k: float, terms: _Terms) -> _Series:
         for a, g in terms:
             acc += g * at(gamma + 1.0 - a)
         sg = acc / (2j * k * gamma)
+        n = int(gamma + _SAME_EXPONENT)
+        if not cmath.isfinite(sg):  # s_gamma grows like Gamma(gamma) / (2k)^gamma
+            cap = n
+            break
         known.append((gamma, sg))
         if sg != 0:
-            out.append((int(gamma + _SAME_EXPONENT), -gamma, sg))
-    return (*out, (cap, 0.0, 0j))
+            out.append((n, -gamma, sg))
+    return (*(t for t in out if t[0] < cap), (cap, 0.0, 0j))
 
 
 def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, complex, float]:
@@ -163,29 +188,34 @@ def _far_series(k: float, coefficients: _Series, r: float) -> tuple[complex, com
     at r, from the :func:`_series_coefficients` of its terms, with the
     truncation estimate of the series.
 
-    The series is summed band by band while a band's sum of moduli
-    decreases; that sum for the first band that does not, or past order
-    M, relative to |f| is the estimate.
+    The series is summed band by band while a band's weighted sum of
+    moduli decreases, up to optimal truncation; that sum for the first
+    band that does not, or for the deepest band built, relative to |f| is
+    the estimate.  A term t = s_gamma r^(-gamma) weighs
+    |t| (1 + gamma/(kr)), which bounds its share of u1 relative to |u1|
+    and of du1/dr relative to k |u1|.
     """
-    f, df, omitted, prev_mag = 1.0 + 0j, 0j, 0.0, math.inf
-    band, f_band, df_band, mag = coefficients[0][0], 0j, 0j, 0.0
+    deepest = coefficients[-1][0] - 1
+    inv_kr = 1.0 / (k * r)
+    f, g, omitted, prev_mag = 1.0 + 0j, 0j, 0.0, math.inf  # g = r df/dr
+    band, f_band, g_band, mag = coefficients[0][0], 0j, 0j, 0.0
     for n, e, c in coefficients:
         if n != band:  # band closed; the final zero term closes the last one
-            if mag >= prev_mag or band > _MAX_SERIES_ORDER:
+            if mag >= prev_mag or band >= deepest:
                 omitted = mag
                 break
             f += f_band
-            df += df_band
+            g += g_band
             prev_mag = mag
-            band, f_band, df_band, mag = n, 0j, 0j, 0.0
+            band, f_band, g_band, mag = n, 0j, 0j, 0.0
         t = c * r ** e
         f_band += t
-        df_band += e * c * r ** (e - 1.0)
-        mag += abs(t)
+        g_band += e * t
+        mag += abs(t) * (1.0 - e * inv_kr)
 
     pref = _EXP_M_I_PI_4 / math.sqrt(k)
     phase = cmath.exp(1j * k * r)
-    return pref * phase * f, pref * phase * (1j * k * f + df), omitted / max(abs(f), 1e-12)
+    return pref * phase * f, pref * phase * (1j * k * f + g / r), omitted / max(abs(f), 1e-12)
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,16 +227,18 @@ def _series(k: float, terms: _Terms) -> tuple[_Series, tuple[tuple[float, float]
     s_gamma = g / (2 i k gamma)."""
     beyond = tuple((1.0 - a, abs(g) / (2.0 * k * (a - 1.0)))
                    for a, g in terms if a - 1.0 >= _SERIES_CAP)
-    return _series_coefficients(k, terms), beyond
+    admitted = tuple(t for t in terms if t[0] - 1.0 < _SERIES_CAP)
+    return _series_coefficients(k, admitted), beyond
 
 
 def _outgoing(k: float, terms: _Terms, r: float) -> tuple[complex, complex, float]:
     """u1, du1/dr and the truncation estimate at r of the outgoing far
     member of J = k^2 + sum g r^(-alpha) over ``terms``: the estimate of
-    the series plus the first correction of each term too steep for it."""
+    the series plus the first correction of each term too steep for it,
+    weighed as the terms of the series are."""
     series, beyond = _series(k, terms)
     u1, du1, est = _far_series(k, series, r)
-    return u1, du1, est + sum(s * r ** e for e, s in beyond)
+    return u1, du1, est + sum(s * r ** e * (1.0 - e / (k * r)) for e, s in beyond)
 
 
 def _far_terms(config: ValidatedConfig) -> _Terms:
@@ -435,7 +467,8 @@ _DUAL = _Basis(_dual_member, _dual_estimate)
 
 class _Origin(NamedTuple):
     """The near-origin basis of one problem and its inner radius, None
-    where no radius up to :func:`r_min_cap` meets ``0.1 tol``."""
+    where no radius up to the limit of :func:`choose_r_min` meets
+    ``0.1 tol``."""
 
     basis: _Basis
     r_min: float | None
@@ -449,8 +482,9 @@ def _origin(config: ValidatedConfig) -> _Origin:
     :func:`r_min_cap` finds no core-dominated region.
 
     Each radius is searched from ``config.r_min`` up to
-    :func:`r_min_cap`: where the estimate holds there, the radius is
-    doubled while it keeps holding; otherwise it is halved until it does.
+    :func:`r_min_cap`, or for p = 2 with no W up to the far matching
+    radius: where the estimate holds there, the radius is doubled while it
+    keeps holding; otherwise it is halved until it does.
     The last bracket is then bisected geometrically.  For the dual basis
     this outward search in r is the inward far-radius search of P' in r'.
     """
@@ -465,6 +499,13 @@ def _origin(config: ValidatedConfig) -> _Origin:
         cap = r_min_cap(config)
     except SingularRegionTooFar:  # choose_r_min raises it; point evaluations go on
         return best
+    if config.is_conformal and config.extra_potential is None:
+        # the conformal member is the exact solution, so it may meet the
+        # far series: where both hold, the leg between them has no length
+        try:
+            cap = min(0.5 * config.r_max, choose_r_max_start(config))
+        except AsymptoticRegionTooClose:  # choose_r_max_start raises it
+            pass
     target = _TRUNC_SHARE * config.tol
     start = min(config.r_min, cap)
     for basis in offered:
@@ -502,7 +543,9 @@ def r_min_cap(config: ValidatedConfig) -> float:
     """Upper end of the inner-radius search: half of ``config.r_max``,
     and inside the core-dominated region, where each of the n other terms
     of J (k^2, a centrifugal term for p > 2, W bounded by its coefficient
-    or height) stays below lambda r^(-p) / (2n).
+    or height) stays below lambda r^(-p) / (2n).  For p = 2 with no W the
+    search goes on past it to the far matching radius (see
+    :func:`choose_r_min`); twice this radius is the floor of that one.
 
     Raises :class:`SingularRegionTooFar` when that region is empty in
     floating point: for p just above 2 a centrifugal term that beats
@@ -576,6 +619,11 @@ def choose_r_min(config: ValidatedConfig) -> float:
     """Largest radius up to :func:`r_min_cap` where the problem's
     near-origin basis meets ``0.1 * tol``: of the bases offered, the one
     that meets it at the larger radius, searched from ``config.r_min``.
+    For p = 2 with no W the conformal member is the exact solution, so the
+    limit is the far matching radius of :func:`choose_r_max_start`, at
+    most half ``config.r_max``, instead (``r_min_cap`` where that radius
+    cannot be found); where the series meets ``0.1 * tol`` there, the
+    inner radius is the far one.
 
     ``config.r_min`` is a starting point: where the estimate holds there,
     the radius is doubled while it keeps holding; otherwise it is halved

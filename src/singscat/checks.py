@@ -34,8 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-
-from numpy.random import default_rng
+import random
 
 from . import bases, connect, disk
 from .currents import current
@@ -49,9 +48,10 @@ _RNG_SEED = 20240801
 @functools.cache
 def _disk_points() -> tuple[complex, ...]:
     """The seeded points of ``disk_automorphism``: 100 draws in the
-    square [-0.95, 0.95)^2, kept inside |Omega| < 0.95."""
-    draws = default_rng(_RNG_SEED).uniform(-0.95, 0.95, size=(100, 2))
-    points = (complex(re, im) for re, im in draws.tolist())
+    square [-0.95, 0.95]^2, kept inside |Omega| < 0.95.  The standard
+    library's generator keeps ``numpy.random`` out of a solve."""
+    rng = random.Random(_RNG_SEED)
+    points = (complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)) for _ in range(100))
     return tuple(om for om in points if abs(om) < 0.95)
 
 

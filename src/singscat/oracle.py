@@ -17,16 +17,40 @@ from which
     T  = T' = 1/a*,    R' = b/a* = e^(-pi theta),
     |R| = e^(-pi theta),    |T|^2 = 1 - e^(-2 pi theta).
 
-Only the Gamma function at complex argument is needed; it is
-:func:`scipy.special.gamma`.
+Only Gamma(1 +- i theta) is needed, and Gamma(1 - i theta) is the
+conjugate of Gamma(1 + i theta).  Its modulus is closed,
+|Gamma(1 + i theta)|^2 = pi theta / sinh(pi theta) (DLMF 5.4.3), which
+makes |a|^2 = 1 / (1 - e^(-2 pi theta)) and |b| = e^(-pi theta) |a|:
+both are formed without overflow for every theta.  Its phase comes
+from Stirling's series (DLMF 5.11.1) at 10 + i theta, shifted down by
+the recurrence Gamma(z + 1) = z Gamma(z).  No scipy is needed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 __all__ = ["IspExactResult", "isp_exact"]
+
+#: Stirling's series is summed at 1 + _SHIFT + i theta, where |z| >= 10
+#: puts its first omitted term, B_16 / (240 z^15), below 3e-17.
+_SHIFT = 9
+#: B_2m / (2m (2m - 1)) for m = 1..7 (DLMF 5.11.1, 24.2.1).
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+
+
+def _gamma_phase(theta: float) -> float:
+    """arg Gamma(1 + i theta), continuous in theta (Im ln Gamma)."""
+    z = complex(1.0 + _SHIFT, theta)
+    inv, inv2 = 1.0 / z, 1.0 / (z * z)
+    series = 0j
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    stirling = ((z - 0.5) * cmath.log(z) - z + series * inv).imag
+    return stirling - sum(math.atan2(theta, 1.0 + j) for j in range(_SHIFT))
 
 
 @dataclass(frozen=True)
@@ -52,14 +76,10 @@ def isp_exact(theta: float, k: float, mu: float) -> IspExactResult:
     """
     if theta <= 0.0 or k <= 0.0 or mu <= 0.0:
         raise ValueError("theta, k, mu must all be positive")
-    from scipy.special import gamma  # imported here so that ``import singscat`` does not load scipy
-
-    gp = complex(gamma(1.0 + 1j * theta))
-    gm = complex(gamma(1.0 - 1j * theta))
-    scale = (2.0 * mu / k) ** (1j * theta)  # = exp(i theta ln(2 mu / k))
-    norm = math.sqrt(2.0 * math.pi * theta)
-    a = gp * scale * math.exp(0.5 * math.pi * theta) / norm
-    b = gm / scale * math.exp(-0.5 * math.pi * theta) / norm
+    modulus = 1.0 / math.sqrt(-math.expm1(-2.0 * math.pi * theta))  # |a|
+    turn = cmath.exp(1j * (_gamma_phase(theta) + theta * math.log(2.0 * mu / k)))  # a / |a|
+    a = modulus * turn
+    b = modulus * math.exp(-math.pi * theta) * turn.conjugate()
     astar = a.conjugate()
     R = -b.conjugate() / astar
     T = 1.0 / astar

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -19,6 +20,7 @@ from singscat import (
     eval_asymptotic,
     eval_singularity,
     invariant_callable,
+    isp_exact,
     propagate,
     transfer_matrix,
     validate,
@@ -39,6 +41,7 @@ from singscat.errors import SingularRegionTooFar
 from tests.conftest import barrier_config, isp_config, quartic_config
 
 QUARTIC = quartic_config()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GENERIC = validate(ProblemConfig(p=3.0, lam=2.0, k=1.0, l_plus_nu=0.3, tol=1e-8))
 
 
@@ -53,9 +56,10 @@ def hankel_part(cfg, r):
     return u, (got_du - u * df) / f
 
 
-def reference_integer_coefficients(cfg):
-    """s_0 .. s_9 from the recursion over integer exponents only that the far
-    series used before it took real exponents (integer p and W exponent)."""
+def reference_integer_coefficients(cfg, order):
+    """s_0 .. s_order from the recursion over integer exponents only that
+    the far series used before it took real exponents (integer p and W
+    exponent)."""
     terms = {}
     if cfg.theta is not None:
         terms[2] = cfg.lam
@@ -69,7 +73,7 @@ def reference_integer_coefficients(cfg):
         terms[int(q)] = terms.get(int(q), 0.0) + g
     terms = sorted((m, g) for m, g in terms.items() if g != 0.0)
     s = [1.0 + 0j]
-    for m in range(9):
+    for m in range(order):
         acc = m * (m + 1) * s[m]
         for mj, g in terms:
             idx = m + 2 - mj
@@ -116,18 +120,62 @@ class TestFarSeries:
     @given(cfg=integer_tail_configs())
     def test_integer_exponents_match_reference_exactly(self, cfg):
         # with integer exponents the series over real exponents is the old
-        # integer recursion, float operation for float operation
-        got = {-e: c for _, e, c in _series_coefficients(cfg.k, _far_terms(cfg))[:-1]}
-        assert set(got) <= {float(m) for m in range(1, 10)}
-        ref = reference_integer_coefficients(cfg)
-        for m in range(1, 10):
+        # integer recursion, float operation for float operation; one
+        # exponent per unit band, so the bands run to the exponent budget
+        series = _series_coefficients(cfg.k, _far_terms(cfg))
+        deepest = bases._MAX_EXPONENTS - 1
+        assert series[-1] == (deepest + 1, 0.0, 0j)
+        got = {-e: c for _, e, c in series[:-1]}
+        assert set(got) <= {float(m) for m in range(1, deepest + 1)}
+        ref = reference_integer_coefficients(cfg, deepest)
+        for m in range(1, deepest + 1):
             assert got.get(float(m), 0j) == ref[m]
 
     def test_noninteger_exponents_are_terms(self):
         # p = 2.5, l+nu = 0: steps 1 and 1.5 give every multiple of 1/2
+        # from 1 on, two per unit band: 0 and 62 more fill the budget of 64
         cfg = NONINTEGER["p2.5"]
         got = [-e for _, e, _ in _series_coefficients(cfg.k, _far_terms(cfg))[:-1]]
-        assert got == [0.5 * j for j in range(2, 20)]
+        assert got == [0.5 * j for j in range(2, 64)]
+
+    def test_deepest_band_is_the_estimate_where_all_decrease(self):
+        # far out every band the series holds decreases; the deepest one,
+        # band 63 for p = 2, is then the estimate, not 0
+        cfg = isp_config(1.0)
+        r = 1e4
+        series = _series_coefficients(cfg.k, _far_terms(cfg))
+        deepest = sum(abs(c) * r ** e for n, e, c in series if n == 63)
+        far = eval_asymptotic(cfg, r)
+        assert far.trunc_error == pytest.approx(deepest * (1.0 + 63.0 / r), rel=1e-12)
+        assert far.trunc_error > 0.0
+
+    def test_series_ends_before_its_coefficients_overflow(self):
+        # s_gamma grows like Gamma(gamma) / (2k)^gamma: at k = 1e-5 it
+        # would overflow float64 in band 52, so the series ends at band 51,
+        # and far out the estimate is a number, not inf * 0
+        cfg = isp_config(1.0, k=1e-5)
+        series = _series_coefficients(cfg.k, _far_terms(cfg))
+        assert series[-1] == (52, 0.0, 0j)
+        assert all(cmath.isfinite(c) for _, _, c in series)
+        assert eval_asymptotic(cfg, 100.0 / cfg.k).trunc_error < cfg.tol
+
+    @pytest.mark.parametrize("cfg", [
+        validate(ProblemConfig.from_json(str(CONFIGS / "hankel_inverse_power.json"))),
+        validate(ProblemConfig(p=2.0001, lam=1.25, k=1.0, tol=1e-8)),
+        validate(ProblemConfig(p=2.01, lam=1.25, k=1.0, tol=1e-8)),
+        validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-6,
+                               extra_potential=InversePower(0.5, 2.979))),
+    ], ids=["hankel_inverse_power", "p2.0001", "p2.01", "p4_W2.979"])
+    def test_dense_lattices_keep_their_depth(self, cfg):
+        # the densest series each problem builds (its dual's, where one is
+        # offered) holds so many exponents below the cap that one more
+        # band would pass the budget, so it holds exactly those, as it
+        # always did, and its build cost does not grow: the dual of
+        # W = 0.5 r^-2.979 holds 2,277 exponents and takes about 0.6 s
+        k, terms = _dual_problem(cfg) or (cfg.k, _far_terms(cfg))
+        series = _series_coefficients(k, terms)
+        assert len(series) > bases._MAX_EXPONENTS - 10
+        assert series[-1] == (bases._SERIES_CAP, 0.0, 0j)
 
     @pytest.mark.parametrize("name", sorted(NONINTEGER))
     def test_noninteger_tail_basis_solves_equation(self, name):
@@ -186,6 +234,29 @@ class TestAsymptotic:
         )
         assert abs(one.u - exact) / abs(exact) < 1e-6
 
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("kr", [10.0, 12.5, 15.0])
+    def test_estimate_bounds_the_error_of_both_components(self, theta, kr):
+        # the p = 2 far member is sqrt(pi/2) e^(-pi theta/2) sqrt(r)
+        # H1_(i theta)(kr) (DLMF 10.17(iii)); summed to optimal truncation
+        # its estimate bounds the error of u1 and of du1 (there a term of
+        # order gamma weighs 1 + gamma/(kr) for its derivative).  At
+        # theta = 10 the series has not begun to converge, and the estimate
+        # says so
+        cfg = isp_config(theta, k=2.7)
+        r = kr / cfg.k
+        far = eval_asymptotic(cfg, r)
+        with mp.workdps(30):
+            nu, x = mp.mpc(0.0, cfg.theta), mp.mpf(kr)
+            pref = mp.sqrt(mp.pi / 2) * mp.exp(-mp.pi * cfg.theta / 2) * mp.sqrt(mp.mpf(r))
+            h = mp.hankel1(nu, x)
+            dh = mp.diff(lambda z: mp.hankel1(nu, z), x)
+            want_u = complex(pref * h)
+            want_du = complex(pref * (h / (2 * mp.mpf(r)) + cfg.k * dh))
+        assert abs(far.state.u - want_u) <= far.trunc_error * abs(far.state.u)
+        assert abs(far.state.du - want_du) <= far.trunc_error * abs(far.state.du)
+        assert (far.trunc_error > 1.0) == (theta == 10.0)
+
     def test_too_close_reports_estimate(self):
         # the evaluation reports an estimate past tol and leaves the
         # radius to choose_r_max_start, which finds one further out
@@ -225,14 +296,56 @@ class TestConformalBasis:
         assert abs(du - want_du) / abs(want_du) <= 1e-13
         assert err_u <= est < 1e-13
 
-    def test_inner_radius_reaches_the_cap(self):
-        # an all-orders basis meets 0.1 tol everywhere up to the
-        # core-dominated cap sqrt(lambda/2)/k, which ends the search
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("kr", [4.0, 8.0, 12.0])
+    def test_estimate_bounds_the_error_out_to_the_far_series(self, theta, kr):
+        # past k r ~ 1 the terms grow to about e^(kr) / (2 pi kr) before
+        # they fall, so the rounding bound n eps sum |t_n| takes over the
+        # estimate; it still bounds the error of u+ and du+ out where the
+        # far series holds, and where it sets r_min
+        cfg = isp_config(theta)
+        for r in (kr, choose_r_min(cfg)):
+            u, du, est = bases._conformal_member(cfg, r)
+            want_u, want_du = conformal_reference(cfg, r)
+            assert abs(u - want_u) <= est * abs(want_u)
+            assert abs(du - want_du) <= est * abs(want_du)
+        assert est <= 0.1 * cfg.tol
+
+    def test_inner_radius_passes_the_core_cap(self):
+        # the conformal member is the exact solution, so the search for
+        # r_min runs past the core-dominated cap sqrt(lambda/2)/k up to the
+        # far radius; at tol 1e-10 the rounding bound of the series ends
+        # it first, at k r = 7.9 to 10.2
         for theta in (0.05, 0.5, 2.0):
             for k in (0.5, 2.0):
                 cfg = isp_config(theta, k=k)
-                assert choose_r_min(cfg) == r_min_cap(cfg)
                 assert r_min_cap(cfg) == pytest.approx(math.sqrt(0.5 * cfg.lam) / k, rel=1e-15)
+                r = choose_r_min(cfg)
+                assert 5.0 * r_min_cap(cfg) < r < choose_r_max_start(cfg)
+                assert 7.0 < k * r < 11.0
+
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("k", [1.0, 4.0])
+    def test_overlapping_series_leave_no_leg(self, theta, k):
+        # at tol 1e-6 the near series holds out to the far radius, so the
+        # leg between them has no length and the matrix is the projection
+        # of one series on the other
+        cfg = isp_config(theta, k=k, tol=1e-6)
+        m = transfer_matrix(cfg)
+        res = m.residuals
+        assert res.r_min_used == res.r_max_used == choose_r_max_start(cfg)
+        exact = isp_exact(cfg.theta, cfg.k, cfg.mu)
+        assert max(abs(m.a - exact.a), abs(m.b - exact.b)) <= cfg.tol * max(1.0, abs(exact.a))
+
+    def test_search_ends_at_half_r_max_or_the_cap(self):
+        # the far radius bounds the search only up to half config.r_max;
+        # with a W the conformal member is not exact, and the
+        # core-dominated cap ends the search as before
+        slow = isp_config(0.5, k=0.25)
+        assert choose_r_max_start(slow) > 0.5 * slow.r_max
+        assert choose_r_min(slow) == 0.5 * slow.r_max
+        faint = slow.replaced(extra_potential=GaussianBarrier(height=1e-12, center=5.0, width=1.0))
+        assert choose_r_min(faint) == r_min_cap(faint)
 
 
 class TestSingularity:
@@ -462,8 +575,8 @@ class TestDualBasis:
         assert _dual_problem(steep) is not None
 
     def test_quartic_solve_does_not_load_scipy(self):
-        # scipy.special serves only the Hankel basis and the p = 2 oracle;
-        # a p = 2.5 solve, on the Hankel basis, shows that the probe sees it
+        # scipy.special serves only the Hankel basis; a p = 2.5 solve, on
+        # the Hankel basis, shows that the probe sees it
         code = (
             "import sys, singscat\n"
             "def solve(p):\n"
@@ -484,9 +597,10 @@ class TestRegionSelection:
     # cap, not the estimate, ends the outward search
     CAPPED = validate(ProblemConfig(p=3.0, lam=1.0, k=0.5, l_plus_nu=5.0, tol=1e-2))
     # p = 2 at small k: the far series is too coarse at config.r_max
-    OUTWARD = validate(ProblemConfig(p=2.0, lam=4.25, k=0.3, tol=1e-10))
-    # a weak, steep core at loose tol: the far series holds down to the floor
-    FLOORED = validate(ProblemConfig(p=10.0, lam=1e-6, k=2.0, l_plus_nu=0.5, tol=1e-3))
+    OUTWARD = validate(ProblemConfig(p=2.0, lam=4.25, k=0.1, tol=1e-10))
+    # a weak, steep core at loose tol and large k: the far series holds
+    # down to the floor
+    FLOORED = validate(ProblemConfig(p=10.0, lam=1e-2, k=20.0, l_plus_nu=0.5, tol=1e-3))
 
     def test_choose_r_min_meets_target(self):
         # the estimate holds at r and fails just above it, unless the cap
@@ -519,36 +633,32 @@ class TestRegionSelection:
         assert choose_r_max_start(self.FLOORED) == 2.0 * r_min_cap(self.FLOORED)
 
     def test_barrier_far_from_origin_keeps_r_min(self):
-        # a Gaussian barrier 4 widths out of r_min weighs only its value
-        # there in the near-origin bound, not its height of 20
+        # a Gaussian barrier 6 widths out of r_min weighs only its value
+        # there in the near-origin bound, not its height of 20, which
+        # would put r_min near 1.4e-4
         bare = dict(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-10)
-        barrier = GaussianBarrier(height=20.0, center=2.0, width=0.5)
+        barrier = GaussianBarrier(height=20.0, center=3.0, width=0.5)
         r_bare = choose_r_min(validate(ProblemConfig(**bare)))
         assert choose_r_min(validate(ProblemConfig(**bare, extra_potential=barrier))) >= 0.5 * r_bare
 
-    def test_bisection_stays_above_zero(self, monkeypatch):
-        # at lambda = 1e-200 the inner-radius search ends below 1e-154,
-        # where the product of the bracket's ends underflows to 0.0; the
-        # bisection evaluates no estimate at r = 0.0 and the solve still
-        # ends in a named error
-        cfg = validate(ProblemConfig(p=4.0, lam=1e-200, k=1.0))
+    def test_bisection_stays_above_zero(self):
+        # a bracket below 1e-154, where the product of its ends underflows
+        # to 0.0: the bisection evaluates nothing at r = 0.0 and ends
+        # inside the bracket
         radii = []
-        edge = bases._edge
-
-        def spy(ok, *args):
-            return edge(lambda r: radii.append(r) or ok(r), *args)
-
-        monkeypatch.setattr(bases, "_edge", spy)
-        bases._origin.cache_clear()
-        with pytest.raises(SingularRegionTooFar):
-            transfer_matrix(cfg)
-        assert min(radii) < 1e-154
+        r = bases._edge(lambda x: radii.append(x) or x <= 1e-170, 1e-100, 2.0, 1.0, 400)
+        assert 1e-170 / 1.003 < r <= 1e-170
         assert 0.0 not in radii
+        # at lambda = 1e-200 the inner radius is so small that J overflows
+        # there: the solve ends in a named error
+        with pytest.raises(SingularRegionTooFar, match="overflows"):
+            transfer_matrix(validate(ProblemConfig(p=4.0, lam=1e-200, k=1.0)))
 
     def test_r_max_is_searched_inward(self):
         # config.r_max = 60 is a starting point: where the far series is
-        # accurate there, the search moves inward; where it is not (slow
-        # 1/(k r) convergence at k = 0.3), it still moves outward
+        # accurate there, the search moves inward; where it is not (at
+        # k = 0.1 the series reaches 0.1 tol only at k r ~ 15), it still
+        # moves outward
         for cfg in (QUARTIC, isp_config(1.0)):
             assert choose_r_max_start(cfg) < cfg.r_max
         assert choose_r_max_start(self.OUTWARD) > self.OUTWARD.r_max

@@ -310,18 +310,20 @@ class TestGenericExponent:
     @pytest.mark.parametrize(
         "p, k, tol, ref_tol",
         [(3.0, 1.0, 1e-8, 1e-10), (4.0, 1.0, 1e-8, 1e-10), (6.0, 1.0, 1e-8, 1e-10),
-         (8.0, 1.0, 1e-8, 1e-10), (4.0, 0.1, 1e-3, 1e-8)],
+         (8.0, 1.0, 1e-8, 1e-10), (4.0, 0.2, 1e-3, 1e-8)],
         ids=["p3", "p4", "p6", "p8", "p4-loose"],
     )
     def test_strong_core_against_tight_extraction(self, p, k, tol, ref_tol):
         # at lambda = 1, l+nu = 1/2 these take the dual basis, which
         # carries k^2 to all orders, so r_min is searched outward past
         # config.r_min and the result agrees with a tighter extraction
-        # within tol.  The dual estimate is about the true near-origin
-        # error rather than a bound on it: restarting the same legs (at
+        # within tol.  The dual estimate bounds the true near-origin error
+        # and is within a factor 5 of it: restarting the same legs (at
         # 1/30 of the per-step tolerance, so that integration error stays
         # out) at r_min / 4, where the estimate is far smaller, moves the
-        # matrix by 0.5-2 times the estimate at r_min
+        # matrix by 0.2-1 times the estimate at r_min.  At p = 3 the dual
+        # series runs to band 63 at r_min, and its estimate, about 3e-36,
+        # lies below integration noise, which alone moves the matrix
         base = ProblemConfig(p=p, lam=1.0, k=k, l_plus_nu=0.5, tol=tol)
         cfg = validate(base)
         m = transfer_matrix(cfg)
@@ -336,16 +338,23 @@ class TestGenericExponent:
         inside = connect._extract(cfg, fine_tol, r_min / 4.0)
         assert eval_singularity(cfg, r_min / 4.0).trunc_error < 0.1 * near
         shift = max(abs(inside.a - at_r_min.a), abs(inside.b - at_r_min.b)) / max(1.0, abs(m.a))
-        assert 0.5 * near <= shift <= 2.0 * near
+        if near > 1e-3 * cfg.tol:
+            assert 0.2 * near <= shift <= near
+        else:
+            assert shift <= 1e-3 * cfg.tol
 
     @pytest.mark.parametrize("p", [12.0, 14.0], ids=["p12", "p14"])
     def test_core_too_steep_for_the_far_series(self, p):
         # the core's step p - 1 reaches the series cap, so the core never
-        # enters the far series; its first correction, in the estimate,
-        # moves r_max out to where the one projection is within tol
+        # enters the far series, even where the series runs past the cap;
+        # its first correction, in the estimate, moves r_max out to where
+        # the one projection is within tol
         base = ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-10)
         cfg = validate(base)
         assert p - 1.0 >= bases._SERIES_CAP
+        series, beyond = bases._series(cfg.k, bases._far_terms(cfg))
+        assert [c for _, _, c in series] == [0j]
+        assert beyond == ((1.0 - p, 1.0 / (2.0 * (p - 1.0))),)
         m = transfer_matrix(cfg)
         assert m.residuals.basis_trunc > 0.0
         assert m.residuals.r_max_used > 2.0 * bases.r_min_cap(cfg)

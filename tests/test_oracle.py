@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
-from singscat import isp_exact
+from singscat import isp_exact, oracle
 
 # closed-form reflection amplitudes, frozen from a 30-digit evaluation of
 # -e^(-pi t) 2^(2it) Gamma(1+it)/Gamma(1-it) at k = mu = 1
@@ -82,3 +85,41 @@ class TestIspExact:
         ex = isp_exact(theta, k, mu)
         assert abs(a_hp - ex.a) / abs(ex.a) < 1e-12
         assert abs(b_conj_hp.conjugate() - ex.b) / abs(ex.b) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.001, 0.01, 0.5, 1.0, 2.0, 10.0, 30.0, 100.0, 300.0])
+    def test_gamma_matches_mpmath(self, theta):
+        # a = |a| e^(i arg Gamma(1 + i theta)) at 2 mu = k, with the phase
+        # from Stirling's series and |a| = |Gamma(1 + i theta)|
+        # e^(pi theta / 2) / sqrt(2 pi theta) in closed form; the phase
+        # grows like theta ln theta, and so does its rounding
+        with mp.workdps(30):
+            gamma = mp.gamma(mp.mpc(1.0, theta))
+            want_turn = complex(gamma / abs(gamma))
+            want_modulus = float(abs(gamma) * mp.exp(mp.pi * theta / 2) / mp.sqrt(2 * mp.pi * theta))
+        a = isp_exact(theta, 2.0, 1.0).a
+        assert abs(a / abs(a) - want_turn) <= 1e-14 * max(1.0, theta)
+        assert abs(abs(a) - want_modulus) <= 1e-15 * want_modulus
+
+    @pytest.mark.parametrize("theta", [300.0, 450.0, 1000.0])
+    def test_strong_coupling_does_not_overflow(self, theta):
+        # e^(pi theta / 2) overflows float64 past theta ~ 452; |a| and |b|
+        # are formed without it
+        ex = isp_exact(theta, 1.0, 1.0)
+        assert abs(ex.a) == pytest.approx(1.0, rel=1e-15)
+        assert ex.b == 0.0
+        assert abs(ex.T) == pytest.approx(1.0, rel=1e-15)
+
+    def test_does_not_load_scipy(self):
+        # the oracle gates p = 2 benchmark ops; scipy.special, which also
+        # loads numpy.random, would add about 24 MB to such a process
+        code = (
+            "import sys\n"
+            "from singscat import isp_exact\n"
+            "isp_exact(1.0, 1.0, 1.0)\n"
+            "print('scipy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "False"]

@@ -8,7 +8,8 @@ global error, equal to ``tol`` except for ``degenerate_barrier``
 ``inverse_power`` golden comes from a tol-1e-11 extraction, the
 ``strong_core_p12`` golden from a tol-1e-12 one and the
 ``hankel_inverse_power`` golden from a tol-1e-7 one; the
-``isp_theta005`` golden is the closed form ``isp_exact``.  The quartic
+``isp_theta005`` and ``isp_theta1_loose`` goldens are the closed form
+``isp_exact``.  The quartic
 inner-leg step count pins the step control and both matching-radius
 choices (the leg runs from ``choose_r_min`` to ``choose_r_max_start``):
 a change to the error norm, the step size policy, the near-origin basis
@@ -33,6 +34,8 @@ GOLDEN = {
                    complex(0.00010238858997017874, -0.001864636988969631)),
     "isp_theta005": (complex(1.9259047346801692, 0.011260116743291568),
                      complex(1.6459475171973292, -0.009623301123485042)),
+    "isp_theta1_loose": (complex(0.9251994013987346, 0.3819384822848884),
+                         complex(0.03998149130973594, -0.016505058355248396)),
     "quartic": (complex(0.24227633134768034, -1.0053432828647093),
                 complex(0.18629672183515994, -0.1862967218313637)),
     "degenerate_barrier": (complex(2629.9130440733666, 3213.489481110444),
@@ -52,7 +55,7 @@ GOLDEN = {
     "core_k2.3": (complex(-0.46636959369283554, -0.8899906792588773),
                   complex(0.06922429852047186, -0.06922429847465615)),
 }
-QUARTIC_INNER_STEPS = 463
+QUARTIC_INNER_STEPS = 238
 
 
 def _config(name: str):
