@@ -652,6 +652,7 @@ def choose_r_min(config: ValidatedConfig) -> float:
     return r
 
 
+@functools.lru_cache(maxsize=64)
 def choose_r_max_start(config: ValidatedConfig) -> float:
     """Smallest radius, down to twice :func:`r_min_cap`, where the
     far-field truncation estimate meets ``0.1 * tol``, searched from

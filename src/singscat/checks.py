@@ -49,7 +49,8 @@ _RNG_SEED = 20240801
 def _disk_points() -> tuple[complex, ...]:
     """The seeded points of ``disk_automorphism``: 100 draws in the
     square [-0.95, 0.95]^2, kept inside |Omega| < 0.95.  The standard
-    library's generator keeps ``numpy.random`` out of a solve."""
+    library's generator keeps numpy, which a solve needs nowhere else,
+    out of a solve process."""
     rng = random.Random(_RNG_SEED)
     points = (complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)) for _ in range(100))
     return tuple(om for om in points if abs(om) < 0.95)

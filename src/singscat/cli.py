@@ -30,8 +30,6 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import connect, disk
 from .checks import solve_checks, verify_checks
 from .errors import (
@@ -170,6 +168,15 @@ def cmd_solve(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
+def _grid(start: float, stop: float, count: int) -> list[float]:
+    """``numpy.linspace(start, stop, count)`` bit for bit, by numpy's own
+    arithmetic: j * step, or (j / div) * span where the step underflows."""
+    span, div = stop - start, max(count - 1, 1)
+    step = span / div
+    grid = [start + (j * step if step else j / div * span) for j in range(count)]
+    return grid[:-1] + [stop] if count > 1 else grid
+
+
 def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
     start, stop, count = args.grid
     _require_at_least("grid COUNT", count, 1)
@@ -183,13 +190,12 @@ def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
             rows.append((phase, om, s, config.tol))
     else:
         omega0 = args.omega[0] if args.omega else 0j
-        values = np.linspace(start, stop, count)
-        for v in values:
+        if args.axis == "theta" and not config.is_conformal:
+            raise BadGrid("theta sweep requires a p=2 configuration")
+        for v in _grid(start, stop, count):
             if args.axis == "k":
                 sub = config.replaced(k=float(v))
             else:
-                if not config.is_conformal:
-                    raise BadGrid("theta sweep requires a p=2 configuration")
                 sub = config.replaced(lam=float(v) ** 2 + 0.25)
             m = connect.transfer_matrix(sub)
             s = connect.s_matrix(m, omega0)

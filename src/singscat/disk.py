@@ -20,8 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutsideDisk, RankDeficient
 
 __all__ = [
@@ -86,6 +84,8 @@ def fit_mobius(samples) -> MobiusFit:
     map, e.g. for a constant (degenerate) family; the exception then
     carries the constant value.
     """
+    import numpy as np  # only the array end of the pipeline loads numpy
+
     if isinstance(samples, UnitaryFamilySample):
         omegas = np.exp(1j * np.asarray(samples.chis))
         values = np.asarray(samples.values, dtype=complex)
@@ -131,6 +131,7 @@ def _require_uniform(samples: UnitaryFamilySample) -> None:
 
 
 def _taylor_coefficients(samples: UnitaryFamilySample) -> np.ndarray:
+    import numpy as np
     values = np.asarray(samples.values, dtype=complex)
     # forward DFT normalized by N: c_m = (1/N) sum_j S_j e^(-i m chi_j)
     return np.fft.fft(values) / len(values)

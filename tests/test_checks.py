@@ -127,21 +127,24 @@ def test_wrong_inverse_fails_disk_automorphism(monkeypatch):
 
 def test_quartic_solve_does_not_load_numpy_random():
     # the disk_automorphism points come from the standard library's
-    # generator, so a solve never imports numpy.random, about 6 MB of a
-    # solve process; numpy itself is loaded, which shows the probe works
+    # generator and the solve path holds no array, so a solve imports
+    # neither numpy nor numpy.random (about 13 MB of a solve process); a
+    # reconstruct afterwards loads numpy, which shows the probe works
     config = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from singscat import cli\n"
         f"assert cli.main(['solve', '--config', {str(config)!r}, '--output', '-']) == 0\n"
         "print('numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        f"assert cli.main(['reconstruct', '--config', {str(config)!r}, '--output', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(suite.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert '"self_dual_phase"' in out.stdout
-    assert out.stderr.split() == ["True", "False"]
+    assert out.stderr.split() == ["False", "False", "True"]
 
 
 @fails("self_dual_phase")

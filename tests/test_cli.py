@@ -8,10 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import singscat
-from singscat import BasisSample, ProblemConfig, bases, connect, validate
+from singscat import BasisSample, ProblemConfig, bases, cli, connect, validate
 from singscat.bases import r_min_cap
 from singscat.cli import main
 
@@ -43,6 +46,16 @@ def write_config(tmp_path, name, **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(d))
     return str(path)
+
+
+def run_child(*args: str) -> str:
+    """Run a new interpreter with ``args``, importing the same singscat as
+    this process, installed or not; return its stdout, exit status 0."""
+    src = str(Path(singscat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    return proc.stdout
 
 
 def strip_timing(text: str) -> dict:
@@ -303,6 +316,35 @@ class TestSweep:
         for th in (0.5, 1.0, 2.0):
             assert got[th] == pytest.approx(math.exp(-math.pi * th), rel=1e-7)
 
+    @settings(deadline=None, max_examples=300)
+    @given(start=st.floats(), stop=st.floats(), count=st.integers(1, 300))
+    @example(start=0.5, stop=2.0, count=1)
+    @example(start=1.5, stop=1.5, count=7)
+    @example(start=2.0, stop=-0.3, count=9)
+    @example(start=-0.0, stop=0.0, count=3)
+    @example(start=0.0, stop=1e-322, count=100)  # the step underflows to 0
+    def test_grid_is_numpy_linspace(self, start, stop, count):
+        # bit for bit, signed zeros and nan included, so the CSV is unchanged
+        with np.errstate(all="ignore"):
+            want = np.linspace(start, stop, count)
+        assert [v.hex() for v in cli._grid(start, stop, count)] == [
+            float(v).hex() for v in want
+        ]
+
+    def test_k_sweep_unchanged_without_numpy(self, monkeypatch, capsys):
+        argv = ["sweep", "--config", str(CONFIGS / "isp_theta1.json"), "--axis", "k",
+                "--grid", "0.3:1.7:5", "--output", "-"]
+        out = run_child(
+            "-c",
+            "import sys\n"
+            "from singscat import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        monkeypatch.setattr(cli, "_grid", lambda *grid: np.linspace(*grid))
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out + "False\n"
+
     def test_theta_sweep_needs_conformal_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "p4.json", p=4.0, **{"lambda": 1.0, "l_plus_nu": 0.5})
         assert main(
@@ -441,26 +483,37 @@ class TestVerify:
             return BasisSample(far.state, 1e-3 * far.trunc_error)
 
         monkeypatch.setattr(bases, "eval_asymptotic", under_reported)
-        assert main(["solve", "--config", isp_config_path]) == 0
-        assert main(["verify", "--config", isp_config_path]) == 1
+        bases.choose_r_max_start.cache_clear()  # an earlier solve keeps the honest radius
+        try:
+            assert main(["solve", "--config", isp_config_path]) == 0
+            assert main(["verify", "--config", isp_config_path]) == 1
+        finally:
+            # the next solve of this problem takes the honest radii again
+            bases.choose_r_max_start.cache_clear()
+            bases._origin.cache_clear()
         out = capsys.readouterr().out
         assert "FAILED: global_error" in out
 
 
 class TestEntryPoint:
     def test_module_invocation(self, isp_config_path):
-        # the child imports the same singscat as this process, installed or not
-        src = str(Path(singscat.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "singscat", "solve", "--config", isp_config_path, "--output", "-"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0
-        rep = json.loads(proc.stdout)
+        out = run_child("-m", "singscat", "solve", "--config", isp_config_path, "--output", "-")
+        rep = json.loads(out)
         assert rep["coefficients"]["abs_R"] == pytest.approx(0.0432139, abs=1e-7)
 
     def test_usage_error(self):
         assert main(["solve"]) == 2
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda c: c.stem)
+    def test_solve_loads_numpy_only_with_scipy(self, config):
+        # only the Hankel basis imports scipy, and numpy comes in with it;
+        # every other solve runs without numpy
+        out = run_child(
+            "-c",
+            "import os, sys\n"
+            "from singscat import cli\n"
+            f"assert cli.main(['solve', '--config', {str(config)!r}, '--output', os.devnull]) == 0\n"
+            "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        numpy_loaded, scipy_loaded = out.split()
+        assert numpy_loaded == scipy_loaded

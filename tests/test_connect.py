@@ -21,7 +21,7 @@ from singscat import (
 from singscat import bases, connect, integrate
 from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, PoleProximity
-from tests.conftest import isp_config
+from tests.conftest import isp_config, quartic_config
 
 _DUMMY_RES = TransferResiduals(
     su11_defect=0.0,
@@ -236,6 +236,23 @@ class TestStabilization:
         assert _global_error(cfg, m) < cfg.tol
         assert len(legs) == 1 and radii == [legs[0][1]]
         assert radii[0] >= 2.0 * res.r_max_used
+
+    @pytest.mark.parametrize("cfg", [isp_config(1.0), quartic_config(tol=1e-8)],
+                             ids=["isp1", "p4-tol1e-8"])
+    def test_warm_solve_evaluates_the_far_basis_once(self, monkeypatch, cfg):
+        # both radius searches are cached per problem, so a repeated solve
+        # evaluates the far series only for its one projection
+        transfer_matrix(cfg)
+        radii = []
+        honest = bases.eval_asymptotic
+
+        def spy(config, r):
+            radii.append(r)
+            return honest(config, r)
+
+        monkeypatch.setattr(bases, "eval_asymptotic", spy)
+        m = transfer_matrix(cfg)
+        assert radii == [m.residuals.r_max_used]
 
     def test_global_error_sees_a_phase_error(self, solved):
         sol = solved("isp1")
