@@ -63,7 +63,8 @@ beta^(1/2) e^(-i pi/4) u1', so a(P') = a(P) and b(P') = -i b(P)*; at
 p = 4 with no W, P' is P up to scale and arg b = -pi/4 (mod pi).
 
 A p > 2 problem takes whichever of its two bases meets 0.1 tol at the
-larger radius (:func:`choose_r_min`).  The dual basis reaches further
+larger radius.  The basis and both matching radii are chosen once per
+problem, in one cache (:func:`_plan`).  The dual basis reaches further
 for p >= 3 at lambda = k = 1, l+nu = 1/2, and the Hankel basis for
 p < 3, where r' = r^(-n/2) grows too slowly for the far series; near
 p = 3 the choice also depends on lambda, k, l+nu and tol.  The dual
@@ -252,9 +253,8 @@ def eval_asymptotic(config: ValidatedConfig, r: float) -> BasisSample:
     The truncation estimate is that of the correction series, plus the
     first correction of each power-law term too steep for the series
     (alpha - 1 >= _SERIES_CAP, the core for p >= 11), plus a Gaussian
-    barrier's tail.  It is reported, not enforced:
-    :func:`choose_r_max_start` picks the radius where it meets its share
-    of ``config.tol``.
+    barrier's tail.  It is reported, not enforced: :func:`_plan` picks the
+    radius where it meets its share of ``config.tol``.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -465,28 +465,43 @@ _HANKEL = _Basis(_hankel_member, _hankel_estimate)
 _DUAL = _Basis(_dual_member, _dual_estimate)
 
 
-class _Origin(NamedTuple):
-    """The near-origin basis of one problem and its inner radius, None
-    where no radius up to the limit of :func:`choose_r_min` meets
-    ``0.1 tol``."""
+class _Plan(NamedTuple):
+    """The near-origin basis of one problem and its two matching radii,
+    each None where its search finds none."""
 
     basis: _Basis
     r_min: float | None
+    r_max: float | None
 
 
 @functools.lru_cache(maxsize=64)
-def _origin(config: ValidatedConfig) -> _Origin:
-    """Choose the near-origin basis of a problem: of those offered, the one
-    whose estimate meets ``0.1 tol`` at the larger radius, the first
-    offered (conformal or Hankel) where none does or where
-    :func:`r_min_cap` finds no core-dominated region.
+def _plan(config: ValidatedConfig) -> _Plan:
+    """Choose, once per problem, the near-origin basis and the radii where
+    each basis meets ``0.1 tol``; every solve of the problem reads them.
 
-    Each radius is searched from ``config.r_min`` up to
-    :func:`r_min_cap`, or for p = 2 with no W up to the far matching
-    radius: where the estimate holds there, the radius is doubled while it
-    keeps holding; otherwise it is halved until it does.
-    The last bracket is then bisected geometrically.  For the dual basis
-    this outward search in r is the inward far-radius search of P' in r'.
+    The far radius ``r_max`` is the smallest, down to twice
+    :func:`r_min_cap`, where :func:`eval_asymptotic`'s estimate holds.  The
+    floor keeps the far basis out of the core-dominated region and
+    ``r_max`` above ``r_min``; any radius past the one the basis needs is
+    propagated at a cost and gives no accuracy back.
+
+    The inner radius ``r_min`` is the largest where a near-origin
+    estimate, plus a Gaussian barrier's phase, holds, up to
+    :func:`r_min_cap`; for p = 2 with no W up to ``r_max`` instead (at
+    most half ``config.r_max``), since the conformal member is the exact
+    solution: where both series hold, the leg between them has no length.
+    Of the bases offered, the one that holds at the larger radius is
+    taken, the first offered (conformal or Hankel) where none does or
+    where ``r_min_cap`` finds no core-dominated region (then neither
+    radius is searched).  A large ``r_min`` matters for p > 2, where the
+    integration cost grows with the accumulated phase ~ r_min^(1 - p/2).
+
+    Each search starts from ``config.r_max`` or ``config.r_min``: where
+    the estimate holds there, the radius moves inward (r_max) or outward
+    (r_min) while it keeps holding; otherwise the other way until it does,
+    at most 15 doublings or 400 halvings.  The last bracket is then
+    bisected geometrically.  For the dual basis the outward search in r is
+    the inward far search of P' in r'.
     """
     if config.is_conformal:
         offered: tuple[_Basis, ...] = (_CONFORMAL,)
@@ -494,48 +509,41 @@ def _origin(config: ValidatedConfig) -> _Origin:
         offered = (_HANKEL,)
     else:
         offered = (_HANKEL, _DUAL)
-    best = _Origin(offered[0], None)
     try:
         cap = r_min_cap(config)
-    except SingularRegionTooFar:  # choose_r_min raises it; point evaluations go on
-        return best
-    if config.is_conformal and config.extra_potential is None:
-        # the conformal member is the exact solution, so it may meet the
-        # far series: where both hold, the leg between them has no length
-        try:
-            cap = min(0.5 * config.r_max, choose_r_max_start(config))
-        except AsymptoticRegionTooClose:  # choose_r_max_start raises it
-            pass
+    except SingularRegionTooFar:  # the choosers raise it; point evaluations go on
+        return _Plan(offered[0], None, None)
     target = _TRUNC_SHARE * config.tol
+    r_max = _edge(lambda x: eval_asymptotic(config, x).trunc_error <= target,
+                  config.r_max, 0.5, 2.0 * cap, 15)
+    if config.is_conformal and config.extra_potential is None and r_max is not None:
+        cap = min(0.5 * config.r_max, r_max)
     start = min(config.r_min, cap)
+    best, r_min = offered[0], None
     for basis in offered:
         try:
             r = _edge(lambda x: basis.estimate(config, x) + _barrier_phase(config, x) <= target,
                       start, 2.0, cap, 400)
         except OverflowError:  # r^(-n/2) past float64
             r = None
-        if r is not None and (best.r_min is None or r > best.r_min):
-            best = _Origin(basis, r)
-    return best
+        if r is not None and (r_min is None or r > r_min):
+            best, r_min = basis, r
+    return _Plan(best, r_min, r_max)
 
 
 def eval_singularity(config: ValidatedConfig, r: float) -> BasisSample:
     """Outgoing near-origin member u+ with its derivative at r, on the
-    basis that :func:`choose_r_min` picks for the problem.
+    basis of the problem's plan (:func:`_plan`).
 
     The truncation estimate is that basis's (see the module docstring),
     plus a Gaussian barrier's uncorrected phase over (0, r).  It is
-    reported, not enforced: :func:`choose_r_min` picks the radius where it
+    reported, not enforced: :func:`choose_r_min` reads the radius where it
     meets its share of ``config.tol``.  The basis, and so the estimate at
-    r, also depends on ``config.r_min``, ``r_max`` and ``tol``.  The first
-    call for a problem makes that choice, which evaluates each offered
-    basis at up to a few hundred radii; later calls reuse it.  Where
-    :func:`r_min_cap` finds no core-dominated region, the first basis
-    offered (Hankel for p > 2) is taken.
+    r, also depends on ``config.r_min``, ``r_max`` and ``tol``.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    u, du, est = _origin(config).basis.member(config, r)
+    u, du, est = _plan(config).basis.member(config, r)
     return BasisSample(StateVector(r, u, du), est + _barrier_phase(config, r))
 
 
@@ -544,8 +552,8 @@ def r_min_cap(config: ValidatedConfig) -> float:
     and inside the core-dominated region, where each of the n other terms
     of J (k^2, a centrifugal term for p > 2, W bounded by its coefficient
     or height) stays below lambda r^(-p) / (2n).  For p = 2 with no W the
-    search goes on past it to the far matching radius (see
-    :func:`choose_r_min`); twice this radius is the floor of that one.
+    search goes on past it to the far matching radius (see :func:`_plan`);
+    twice this radius is the floor of that one.
 
     Raises :class:`SingularRegionTooFar` when that region is empty in
     floating point: for p just above 2 a centrifugal term that beats
@@ -616,24 +624,13 @@ def _edge(ok, start: float, step: float, limit: float, tries: int) -> float | No
 
 
 def choose_r_min(config: ValidatedConfig) -> float:
-    """Largest radius up to :func:`r_min_cap` where the problem's
-    near-origin basis meets ``0.1 * tol``: of the bases offered, the one
-    that meets it at the larger radius, searched from ``config.r_min``.
-    For p = 2 with no W the conformal member is the exact solution, so the
-    limit is the far matching radius of :func:`choose_r_max_start`, at
-    most half ``config.r_max``, instead (``r_min_cap`` where that radius
-    cannot be found); where the series meets ``0.1 * tol`` there, the
-    inner radius is the far one.
-
-    ``config.r_min`` is a starting point: where the estimate holds there,
-    the radius is doubled while it keeps holding; otherwise it is halved
-    until it does.  The last bracket is then bisected geometrically.
-    Keeping the radius as large as the estimate allows matters for
-    p > 2, where the integration cost grows with the accumulated phase
-    ~ r_min^(1 - p/2).  A radius where J(r) overflows float64, as a tiny
-    lambda puts it, raises :class:`SingularRegionTooFar`.
+    """Inner matching radius of the problem's plan (:func:`_plan`): the
+    largest, up to its search limit, where its near-origin basis meets
+    ``0.1 * tol``.  A radius where J(r) overflows float64, as a tiny
+    lambda puts it, raises :class:`SingularRegionTooFar`, as does a
+    problem with no such radius.
     """
-    r = _origin(config).r_min
+    r = _plan(config).r_min
     if r is None:
         start = min(config.r_min, r_min_cap(config))
         raise SingularRegionTooFar(
@@ -652,26 +649,19 @@ def choose_r_min(config: ValidatedConfig) -> float:
     return r
 
 
-@functools.lru_cache(maxsize=64)
 def choose_r_max_start(config: ValidatedConfig) -> float:
-    """Smallest radius, down to twice :func:`r_min_cap`, where the
-    far-field truncation estimate meets ``0.1 * tol``, searched from
-    ``config.r_max``; the estimate includes a Gaussian barrier's tail.
-
-    ``config.r_max`` is a starting point, as ``config.r_min`` is for
-    :func:`choose_r_min`: where the estimate holds there, the radius is
-    halved while it keeps holding; otherwise it is doubled until it does.
-    The last bracket is then bisected geometrically.  Any radius past the
-    one the basis needs is propagated at a cost and gives no accuracy
-    back.  The floor keeps the far basis out of the core-dominated region
-    and ``r_max`` above ``r_min``.
+    """Far matching radius of the problem's plan (:func:`_plan`): the
+    smallest, down to twice :func:`r_min_cap`, where the far-field
+    estimate, a Gaussian barrier's tail included, meets ``0.1 * tol``.
+    Raises :class:`AsymptoticRegionTooClose` where there is none, and
+    :class:`SingularRegionTooFar` where ``r_min_cap`` finds no
+    core-dominated region.
     """
-    target = _TRUNC_SHARE * config.tol
-    floor = 2.0 * r_min_cap(config)
-    r = _edge(lambda x: eval_asymptotic(config, x).trunc_error <= target,
-              config.r_max, 0.5, floor, 15)
+    r = _plan(config).r_max
     if r is None:
+        r_min_cap(config)  # raises where the plan searched no radius
         raise AsymptoticRegionTooClose(
-            f"far-field truncation still above {target:.1e} at r={config.r_max * 2.0 ** 15:.3e}"
+            f"far-field truncation still above {_TRUNC_SHARE * config.tol:.1e} "
+            f"at r={config.r_max * 2.0 ** 15:.3e}"
         )
     return r

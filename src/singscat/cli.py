@@ -180,6 +180,8 @@ def _grid(start: float, stop: float, count: int) -> list[float]:
 def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
     start, stop, count = args.grid
     _require_at_least("grid COUNT", count, 1)
+    if args.omega and (args.axis == "omega" or len(args.omega) > 1):
+        raise BadGrid("a sweep takes one --omega, and only along k or theta")
     rows = []
     if args.axis == "omega":
         m = connect.transfer_matrix(config)
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega",
         action="append",
         type=_parse_omega,
-        help="'re,im' evaluation point for k/theta sweeps (repeatable)",
+        help="'re,im' evaluation point for k/theta sweeps",
     )
 
     p_rec = sub.add_parser("reconstruct", help="Cauchy reconstruction vs direct values")

@@ -447,7 +447,7 @@ class TestSingularity:
     def test_perturbation_evaluated_once_per_call(self, monkeypatch):
         # GENERIC keeps the Hankel basis; choosing it evaluates the bound
         # at every trial radius, once per problem, before the spy
-        assert choose_r_min(GENERIC) and bases._origin(GENERIC).basis is bases._HANKEL
+        assert choose_r_min(GENERIC) and bases._plan(GENERIC).basis is bases._HANKEL
         calls = []
 
         def spy(config, r):
@@ -467,24 +467,26 @@ class TestSingularity:
         # p = 2 series holds up to its cap)
         cfg = NONINTEGER["p2.5"]
         far = eval_singularity(cfg, 0.1)
-        assert bases._origin(cfg).basis is bases._HANKEL
+        assert bases._plan(cfg).basis is bases._HANKEL
         assert far.trunc_error > cfg.tol
         assert far.state.r == 0.1
         assert choose_r_min(cfg) < 0.1
 
     def test_point_evaluation_needs_no_core_dominated_region(self):
         # p just above 2 with a centrifugal term that beats the core at
-        # r = 1: r_min_cap finds no core-dominated region, so choose_r_min
-        # raises, while a point evaluation takes the Hankel basis
+        # r = 1: r_min_cap finds no core-dominated region, so both
+        # choosers raise it, while a point evaluation takes the Hankel basis
         cfg = validate(ProblemConfig(p=2.0001, lam=1.25, k=1.0, l_plus_nu=1.0, tol=1e-8))
         with pytest.raises(SingularRegionTooFar, match="centrifugal"):
             r_min_cap(cfg)
         plus = eval_singularity(cfg, 0.01)
-        assert bases._origin(cfg).basis is bases._HANKEL
+        assert bases._plan(cfg).basis is bases._HANKEL
         assert plus.trunc_error == origin_perturbation(cfg, 0.01).remainder
         assert plus.state.u == _hankel_member(cfg, 0.01)[0]
         with pytest.raises(SingularRegionTooFar, match="centrifugal"):
             choose_r_min(cfg)
+        with pytest.raises(SingularRegionTooFar, match="centrifugal"):
+            choose_r_max_start(cfg)
 
 
 class TestDualBasis:
@@ -498,9 +500,9 @@ class TestDualBasis:
         cfg = quartic_config(tol=1e-8)
         assert _dual_problem(cfg) == (cfg.k, _far_terms(cfg))
         bases._series.cache_clear()
-        bases._origin.cache_clear()
+        bases._plan.cache_clear()
         transfer_matrix(cfg)
-        assert bases._origin(cfg).basis is bases._DUAL
+        assert bases._plan(cfg).basis is bases._DUAL
         info = bases._series.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
@@ -541,7 +543,7 @@ class TestDualBasis:
     def test_strong_cores_take_the_dual_basis_further_out(self, p):
         cfg = validate(ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5))
         r = choose_r_min(cfg)
-        assert bases._origin(cfg).basis is bases._DUAL
+        assert bases._plan(cfg).basis is bases._DUAL
         assert eval_singularity(cfg, r).trunc_error <= 0.1 * cfg.tol
         # the Hankel bound misses the target there
         assert origin_perturbation(cfg, r).remainder > 0.1 * cfg.tol
@@ -553,23 +555,30 @@ class TestDualBasis:
         cfg = validate(ProblemConfig(p=p, lam=1.25, k=1.0, tol=1e-8))
         assert (_dual_problem(cfg) is None) == (p < 2.4)
         m = transfer_matrix(cfg)
-        assert bases._origin(cfg).basis is bases._HANKEL
+        assert bases._plan(cfg).basis is bases._HANKEL
         assert abs(abs(m.a) ** 2 - abs(m.b) ** 2 - 1.0) < 100.0 * cfg.tol
 
     def test_dual_step_floor_falls_back_to_hankel_before_the_series(self, monkeypatch):
         # q -> p/2 + 1 sends the dual step q' - 1 to 0 and the number of
-        # series exponents to infinity; below the floor no series is built
+        # series exponents to infinity; below the floor no dual series is
+        # built, only the far series of the problem itself
         built = []
-        monkeypatch.setattr(bases, "_series_coefficients",
-                            lambda k, terms: built.append(terms) or ())
+        honest = bases._series_coefficients
+
+        def spy(k, terms):
+            built.append((k, terms))
+            return honest(k, terms)
+
+        bases._series.cache_clear()
+        monkeypatch.setattr(bases, "_series_coefficients", spy)
         w = InversePower(coefficient=0.5, exponent=2.9999999999)
         cfg = validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-6,
                                      extra_potential=w))
         t0 = time.perf_counter()
         assert _dual_problem(cfg) is None
-        assert bases._origin(cfg).basis is bases._HANKEL
+        assert bases._plan(cfg).basis is bases._HANKEL
         assert time.perf_counter() - t0 < 5.0
-        assert built == []
+        assert built == [(cfg.k, _far_terms(cfg))]
         # a step of 0.05 is above the floor: the dual basis is offered
         steep = cfg.replaced(extra_potential=InversePower(coefficient=0.5, exponent=2.95))
         assert _dual_problem(steep) is not None
@@ -653,6 +662,28 @@ class TestRegionSelection:
         # there: the solve ends in a named error
         with pytest.raises(SingularRegionTooFar, match="overflows"):
             transfer_matrix(validate(ProblemConfig(p=4.0, lam=1e-200, k=1.0)))
+
+    def test_one_plan_reads_the_far_estimate_for_both_radii(self, monkeypatch):
+        # p = 2 with no W at tol 1e-6: the conformal series holds out to
+        # the far radius, so the two radii are one, and a far estimate
+        # 1000 times too small moves both; at p = 4 it moves r_max only
+        loose = isp_config(1.0, tol=1e-6)
+        honest = {cfg: (choose_r_min(cfg), choose_r_max_start(cfg)) for cfg in (loose, QUARTIC)}
+        assert honest[loose][0] == honest[loose][1]
+        far = bases.eval_asymptotic
+
+        def under_reported(config, r):
+            sample = far(config, r)
+            return bases.BasisSample(sample.state, 1e-3 * sample.trunc_error)
+
+        monkeypatch.setattr(bases, "eval_asymptotic", under_reported)
+        bases._plan.cache_clear()
+        try:
+            assert choose_r_min(loose) == choose_r_max_start(loose) < 0.9 * honest[loose][1]
+            assert choose_r_min(QUARTIC) == honest[QUARTIC][0]
+            assert choose_r_max_start(QUARTIC) < 0.9 * honest[QUARTIC][1]
+        finally:
+            bases._plan.cache_clear()  # the next solve of these problems takes the honest radii
 
     def test_r_max_is_searched_inward(self):
         # config.r_max = 60 is a starting point: where the far series is

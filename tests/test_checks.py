@@ -195,16 +195,16 @@ def test_under_reported_near_estimate_fails_global_error(monkeypatch):
 
     monkeypatch.setattr(bases, "_DUAL", bases._Basis(
         under_reported, lambda config, r: under_reported(config, r)[2]))
-    bases._origin.cache_clear()
+    bases._plan.cache_clear()
     try:
         m = transfer_matrix(cfg)
-        assert bases._origin(cfg).basis.member is under_reported
+        assert bases._plan(cfg).basis.member is under_reported
         coeffs = scattering_coefficients(m, tol=cfg.tol)
         smap = blaschke_params(m, tol=cfg.tol)
         assert failing(solve_checks(cfg, m, coeffs, smap)) == set()
         checks = verify_checks(cfg, m, coeffs, smap, 128)
     finally:
-        bases._origin.cache_clear()  # the next test of this problem takes the honest basis
+        bases._plan.cache_clear()  # the next test of this problem takes the honest basis
     assert failing(checks) == {"global_error"}
     return checks
 

@@ -345,6 +345,23 @@ class TestSweep:
         assert main(argv) == 0
         assert out == capsys.readouterr().out + "False\n"
 
+    @pytest.mark.parametrize("axis, grid, omegas", [
+        ("k", "1:1.5:2", ["0.5,0", "0,0"]),
+        ("theta", "0.5:1:2", ["0.5,0", "0,0"]),
+        ("omega", "0:1:4", ["0.5,0"]),
+    ])
+    def test_unused_omega_exit_2(self, isp_config_path, tmp_path, capsys, axis, grid, omegas):
+        # a sweep evaluates at one point, and an omega sweep at none given:
+        # an --omega that it would drop is bad input, not silently ignored
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", isp_config_path, "--axis", axis, "--grid", grid,
+                "--output", str(out)]
+        for om in omegas:
+            argv += ["--omega", om]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("BadGrid: a sweep takes one --omega")
+        assert not out.exists()
+
     def test_theta_sweep_needs_conformal_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "p4.json", p=4.0, **{"lambda": 1.0, "l_plus_nu": 0.5})
         assert main(
@@ -483,14 +500,12 @@ class TestVerify:
             return BasisSample(far.state, 1e-3 * far.trunc_error)
 
         monkeypatch.setattr(bases, "eval_asymptotic", under_reported)
-        bases.choose_r_max_start.cache_clear()  # an earlier solve keeps the honest radius
+        bases._plan.cache_clear()  # an earlier solve keeps the honest radii
         try:
             assert main(["solve", "--config", isp_config_path]) == 0
             assert main(["verify", "--config", isp_config_path]) == 1
         finally:
-            # the next solve of this problem takes the honest radii again
-            bases.choose_r_max_start.cache_clear()
-            bases._origin.cache_clear()
+            bases._plan.cache_clear()  # the next solve takes the honest radii again
         out = capsys.readouterr().out
         assert "FAILED: global_error" in out
 

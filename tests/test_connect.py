@@ -254,6 +254,25 @@ class TestStabilization:
         m = transfer_matrix(cfg)
         assert radii == [m.residuals.r_max_used]
 
+    @pytest.mark.parametrize("cfg", [isp_config(1.0, k=1.0625),
+                                     quartic_config(tol=1e-8).replaced(k=1.0625)],
+                             ids=["isp1", "p4-tol1e-8"])
+    def test_one_choice_per_problem(self, monkeypatch, cfg):
+        # the basis and both radii are chosen in one place: a new problem
+        # finds its core-dominated region once, a repeated solve not again
+        calls = []
+        honest = bases.r_min_cap
+
+        def spy(config):
+            calls.append(config)
+            return honest(config)
+
+        monkeypatch.setattr(bases, "r_min_cap", spy)
+        transfer_matrix(cfg)
+        assert calls == [cfg]
+        transfer_matrix(cfg)
+        assert calls == [cfg]
+
     def test_global_error_sees_a_phase_error(self, solved):
         sol = solved("isp1")
         m, tol = sol.matrix, sol.config.tol
@@ -314,7 +333,7 @@ class TestGenericExponent:
         base = ProblemConfig(p=p, lam=lam, k=1.0, l_plus_nu=l_plus_nu, tol=tol, r_min=1e-4)
         cfg = validate(base)
         m = transfer_matrix(cfg)
-        assert bases._origin(cfg).basis is bases._HANKEL
+        assert bases._plan(cfg).basis is bases._HANKEL
         ref = transfer_matrix(validate(dataclasses.replace(base, tol=ref_tol)))
         da, db = abs(m.a - ref.a), abs(m.b - ref.b)
         assert max(da, db) <= cfg.tol
@@ -344,7 +363,7 @@ class TestGenericExponent:
         base = ProblemConfig(p=p, lam=1.0, k=k, l_plus_nu=0.5, tol=tol)
         cfg = validate(base)
         m = transfer_matrix(cfg)
-        assert bases._origin(cfg).basis is bases._DUAL
+        assert bases._plan(cfg).basis is bases._DUAL
         ref = transfer_matrix(validate(dataclasses.replace(base, tol=ref_tol)))
         assert max(abs(m.a - ref.a), abs(m.b - ref.b)) <= cfg.tol
         r_min = m.residuals.r_min_used
