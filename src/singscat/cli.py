@@ -11,8 +11,9 @@ reconstruct  compare Cauchy reconstruction from boundary samples against
 verify       run the full invariant suite of :mod:`singscat.checks`; exit 0
              only if every check passes at the config tolerance.
 
-Exit status: 0 success, 1 invariant/numerical failure, 2 usage or
-configuration error.
+Exit status: 0 success, else the ``exit_code`` of the error's class (1
+invariant/numerical failure, 2 bad input), or 2 for a usage error or a
+config file that cannot be read or parsed.
 
 Reports are deterministic: identical configs produce bit-identical
 output except for the explicitly excluded ``timing`` block.  Numbers are
@@ -32,16 +33,8 @@ from dataclasses import asdict
 
 from . import connect, disk
 from .checks import solve_checks, verify_checks
-from .errors import (
-    BadGrid,
-    NonSingular,
-    OutsideDisk,
-    SingscatError,
-    SubcriticalCoupling,
-)
+from .errors import BadGrid, OutsideDisk, SingscatError
 from .model import ProblemConfig, ValidatedConfig, validate
-
-_USAGE_ERRORS = (BadGrid, NonSingular, SubcriticalCoupling)
 
 
 # ----------------------------------------------------------- serialization
@@ -52,16 +45,6 @@ def _fmt(x: float) -> str:
 
 def _jsonify(obj) -> str:
     """Deterministic JSON rendering with fixed float formatting."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         if math.isnan(obj):
             return '"nan"'
@@ -75,7 +58,7 @@ def _jsonify(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_jsonify(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)}")
+    return json.dumps(obj)
 
 
 def _pair(z: complex):
@@ -328,29 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep,
+             "reconstruct": cmd_reconstruct, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args)
-        return cmd_verify(args)
-    except _USAGE_ERRORS as exc:
+        return _COMMANDS[args.command](args)
+    except (SingscatError, OSError, ValueError) as exc:
+        # OSError, ValueError (JSONDecodeError too): an unreadable config file
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except SingscatError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

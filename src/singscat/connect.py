@@ -38,12 +38,13 @@ of modulus one.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from . import bases
 from .currents import wronskian
-from .errors import DegenerateTransmission, PoleProximity
+from .errors import DegenerateTransmission, PoleProximity, SingularRegionTooFar
 from .integrate import StateVector, propagate
 from .model import ValidatedConfig
 
@@ -139,6 +140,8 @@ def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
 
     Raises
     ------
+    SingularRegionTooFar
+        The near-origin basis is not finite at the inner radius.
     DriftExceeded
         The leg's Wronskian drift exceeded ``tol``.
     """
@@ -173,6 +176,11 @@ def _extract(
     if r_min is None:
         r_min = bases.choose_r_min(config)
     near = bases.eval_singularity(config, r_min).state
+    if not (cmath.isfinite(near.u) and cmath.isfinite(near.du)):
+        raise SingularRegionTooFar(
+            f"the near-origin basis is not finite at the inner radius r = {r_min:.3e} "
+            f"(lambda = {config.lam:g}, p = {config.p:g})"
+        )
     if r_max is None:
         r_max = bases.choose_r_max_start(config)
     leg = propagate(config, near, r_max, local_tol=local_tol)

@@ -1,8 +1,9 @@
 """Typed failure modes shared across the package.
 
 Every error that user code may want to branch on derives from
-:class:`SingscatError`.  The command-line front end reports errors by
-class name, so the names below are part of the public contract.
+:class:`SingscatError`.  The command-line front end reports an error by
+its class name and exits with its class's ``exit_code`` (2 for bad
+input, 1 for a numerical failure): both are part of the public contract.
 """
 
 from __future__ import annotations
@@ -11,15 +12,21 @@ from __future__ import annotations
 class SingscatError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 # ---------------------------------------------------------------- validation
 
 class NonSingular(SingscatError):
     """Coupling strength is not positive: no singular core to scatter off."""
 
+    exit_code = 2
+
 
 class SubcriticalCoupling(SingscatError):
     """p = 2 with coupling at or below 1/4: oscillatory regime absent."""
+
+    exit_code = 2
 
 
 class BadGrid(SingscatError):
@@ -28,6 +35,8 @@ class BadGrid(SingscatError):
     radii not ordered as 0 < r_min < r_max, ...), an invalid
     extra_potential, a command-line node or grid count out of range, or a
     sweep axis that the config cannot take."""
+
+    exit_code = 2
 
 
 # --------------------------------------------------------------------- bases

@@ -269,7 +269,7 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         oscillating, a regime outside this package's scope.
     BadGrid
         Non-finite or inconsistent radii, tolerances or parameters, or a
-        k whose square overflows float64.
+        k whose square overflows float64 or underflows to 0.
     """
     for key, f in _SCHEMA.items():
         value = getattr(config, f.name)
@@ -281,8 +281,11 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         raise NonSingular(f"lambda must be positive, got {config.lam}")
     if config.k <= 0.0:
         raise BadGrid(f"k must be positive, got {config.k}")
-    if not math.isfinite(config.k * config.k):  # J and both far series hold k^2
+    k2 = config.k * config.k  # J and both far series hold k^2
+    if not math.isfinite(k2):
         raise BadGrid(f"k = {config.k:g} is too large: k^2 overflows float64")
+    if k2 == 0.0:
+        raise BadGrid(f"k = {config.k:g} is too small: k^2 underflows to 0")
     if config.tol <= 0.0:
         raise BadGrid(f"tol must be positive, got {config.tol}")
     if not (0.0 < config.r_min < config.r_max):

@@ -136,6 +136,19 @@ class TestSolve:
         assert err.startswith("SingularRegionTooFar:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("p, lam", [(4.0, 1e200), (4.0, 1e300), (6.0, 1e300)])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_huge_lambda_named(self, tmp_path, capsys, command, p, lam):
+        # the inner radius of so strong a core puts the Hankel functions'
+        # argument near 1e98, where they evaluate to nan: a numerical
+        # failure of the basis, not bad input
+        path = write_config(tmp_path, "huge.json", p=p, k=1.0, l_plus_nu=0.5,
+                            tol=1e-8, **{"lambda": lam})
+        assert main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SingularRegionTooFar: the near-origin basis is not finite")
+        assert err.count("\n") == 1
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": 2.0, "lambda": 1.25}))  # k missing
@@ -152,13 +165,24 @@ class TestSolve:
         assert main(["solve", "--config", path, "--output", "-"]) == 2
         assert capsys.readouterr().err.startswith("BadGrid:")
 
-    @pytest.mark.parametrize("p", [2.0, 4.0])
-    def test_k_squared_overflow_exit_2(self, tmp_path, capsys, p):
-        # k = 1e170 is finite, but k^2 in J and in the far series is not
-        path = write_config(tmp_path, "huge_k.json", p=p, k=1e170)
+    @pytest.mark.parametrize(
+        "p, k, l_plus_nu",
+        [
+            pytest.param(2.0, 1e170, 0.0, id="2.0"),
+            pytest.param(4.0, 1e170, 0.0, id="4.0"),
+            # with no centrifugal term either, a k^2 of 0 left r_min_cap
+            # no term to weigh against the core
+            pytest.param(2.0, 1e-300, 0.0, id="2.0-underflow"),
+            pytest.param(4.0, 1e-300, 0.5, id="4.0-underflow"),
+        ],
+    )
+    def test_k_squared_overflow_exit_2(self, tmp_path, capsys, p, k, l_plus_nu):
+        # k = 1e170 and 1e-300 are finite, but k^2 in J and in the far
+        # series is not, or is 0
+        path = write_config(tmp_path, "extreme_k.json", p=p, k=k, l_plus_nu=l_plus_nu)
         assert main(["solve", "--config", path, "--output", "-"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("BadGrid:") and "k = 1e+170" in err
+        assert err.startswith("BadGrid:") and f"k = {k:g}" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -508,6 +532,41 @@ class TestVerify:
             bases._plan.cache_clear()  # the next solve takes the honest radii again
         out = capsys.readouterr().out
         assert "FAILED: global_error" in out
+
+
+class TestExitCodes:
+    # the exit code is part of each error type's public contract
+    USAGE = {"BadGrid", "NonSingular", "SubcriticalCoupling"}
+
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in vars(singscat.errors).values()
+         if isinstance(c, type) and issubclass(c, singscat.errors.SingscatError)],
+        ids=lambda c: c.__name__,
+    )
+    def test_each_error_type_declares_its_exit_code(self, cls):
+        assert cls.exit_code == (2 if cls.__name__ in self.USAGE else 1)
+
+    class ReclassifiedDrift(singscat.errors.DriftExceeded):
+        exit_code = 2  # main reads the type's code, not a list of types
+
+    @pytest.mark.parametrize(
+        "cls",
+        [singscat.errors.NonSingular, singscat.errors.DriftExceeded, ReclassifiedDrift],
+        ids=lambda c: c.__name__,
+    )
+    def test_main_returns_the_raised_type_exit_code(self, isp_config_path, capsys,
+                                                    monkeypatch, cls):
+        def fail(config):
+            raise cls("raised by a stub")
+
+        monkeypatch.setattr(connect, "transfer_matrix", fail)
+        assert main(["solve", "--config", isp_config_path]) == cls.exit_code
+        assert capsys.readouterr().err == f"{cls.__name__}: raised by a stub\n"
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("FileNotFoundError:")
 
 
 class TestEntryPoint:
