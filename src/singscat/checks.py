@@ -2,10 +2,9 @@
 
 :func:`solve_checks` reads the solved matrix: ``su11`` (the SU(1,1)
 defect), ``unitarity_right`` (|R|^2 + |T|^2 = 1),
-``sign_correspondence`` of |S| against |Omega|, ``disk_automorphism``
-(the inverse map round trip), at p = 4 with no W ``self_dual_phase``
-(b = -i b*, which the power-law duality gives there; see
-:mod:`singscat.bases`) and, on the degenerate branch,
+``sign_correspondence`` of |S| against |Omega|, at p = 4 with no W
+``self_dual_phase`` (b = -i b*, which the power-law duality gives
+there; see :mod:`singscat.bases`) and, on the degenerate branch,
 ``degenerate_spread`` of the constant map.  :func:`verify_checks` adds
 the costlier ones: ``global_error`` (a re-extraction at a finer step
 tolerance from half the inner radius, projected at twice the far
@@ -19,10 +18,10 @@ bases).
 Every check here can fail on some matrix.  Identities that
 M = [[a, b], [b*, a*]] obeys for any a != 0 (the left-moving unitarity
 and Stokes relations, unimodularity on the circle, the Blaschke phase
-identities and the Blaschke form itself) and the limits of J are
-asserted by the test suite instead; the Wronskian drift is enforced by
-a raise in :func:`singscat.propagate`, and its value stays in
-:class:`singscat.TransferResiduals`.
+identities, the Blaschke form itself and the inverse map round trip)
+and the limits of J are asserted by the test suite instead; the
+Wronskian drift is enforced by a raise in :func:`singscat.propagate`,
+and its value stays in :class:`singscat.TransferResiduals`.
 
 Each check is a dict ``{"name", "measured", "tolerance", "status"}``
 with status ``"pass"``, ``"fail"`` or ``"skipped"``; the command-line
@@ -32,38 +31,13 @@ reports serialise these lists as they are.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import random
 
 from . import bases, connect, disk
 from .currents import current
 from .model import ValidatedConfig
 
 __all__ = ["solve_checks", "verify_checks"]
-
-_RNG_SEED = 20240801
-
-
-@functools.cache
-def _disk_points() -> tuple[complex, ...]:
-    """The seeded points of ``disk_automorphism``: 100 draws in the
-    square [-0.95, 0.95]^2, kept inside |Omega| < 0.95.  The standard
-    library's generator keeps numpy, which a solve needs nowhere else,
-    out of a solve process."""
-    rng = random.Random(_RNG_SEED)
-    points = (complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)) for _ in range(100))
-    return tuple(om for om in points if abs(om) < 0.95)
-
-
-def _wrap_angle(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    y = math.fmod(x, 2.0 * math.pi)
-    if y <= -math.pi:
-        y += 2.0 * math.pi
-    elif y > math.pi:
-        y -= 2.0 * math.pi
-    return y
 
 
 def _check(name: str, measured: float, tolerance: float, skipped: bool = False) -> dict:
@@ -103,14 +77,6 @@ def solve_checks(
             if abs(lhs) > tol and math.copysign(1.0, lhs) != math.copysign(1.0, rhs):
                 sign_violation = max(sign_violation, abs(lhs))
     checks.append(_check("sign_correspondence", sign_violation, tol))
-
-    # an identity of M's form, kept as the solve path's one call of
-    # s_matrix_inverse (perfbench's SOLVE_REACH expects it)
-    auto = 0.0
-    for om in _disk_points():
-        back = connect.s_matrix_inverse(m, connect.s_matrix(m, om))
-        auto = max(auto, abs(back - om))
-    checks.append(_check("disk_automorphism", auto, 100.0 * tol))
 
     if config.p == 4.0 and config.extra_potential is None:
         # the dual problem is the problem itself up to scale, so
@@ -158,9 +124,8 @@ def verify_checks(
     if config.is_conformal and not smap.degenerate:
         m2 = connect.transfer_matrix(config.replaced(mu=2.0 * config.mu))
         c2 = connect.scattering_coefficients(m2)
-        shift = _wrap_angle(
-            cmath.phase(c2.R / coeffs.R) - 2.0 * config.theta * math.log(2.0)
-        )
+        turn = cmath.exp(-2j * config.theta * math.log(2.0))
+        shift = cmath.phase(c2.R / coeffs.R * turn)
         mods = max(
             abs(abs(c2.R) - abs(coeffs.R)), abs(abs(c2.T) - abs(coeffs.T))
         )

@@ -96,8 +96,10 @@ def _parse_omega(s: str) -> complex:
     s = s.strip()
     if s.lower() in ("inf", "infinity"):
         return connect.OMEGA_INFINITY
-    re, im = s.split(",")
-    return complex(float(re), float(im))
+    re, im = (float(part) for part in s.split(","))
+    if math.isnan(re) or math.isnan(im):
+        raise ValueError(f"Omega has a nan part: {s!r}")
+    return complex(re, im)
 
 
 def _require_at_least(what: str, value: int, least: int) -> None:
@@ -167,6 +169,10 @@ def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
         raise BadGrid("a sweep takes one --omega, and only along k or theta")
     rows = []
     if args.axis == "omega":
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise BadGrid(f"omega grid START and STOP must be finite, got {start}, {stop}")
+        if not (math.isfinite(args.modulus) and args.modulus >= 0.0):
+            raise BadGrid(f"--modulus must be a finite number >= 0, got {args.modulus}")
         m = connect.transfer_matrix(config)
         for j in range(count):
             phase = start + (stop - start) * j / count

@@ -259,10 +259,10 @@ def _constant_map_tol(tol: float) -> float:
 def blaschke_params(m: TransferMatrix, *, tol: float = 1e-10) -> SMatrixMap:
     """Zero, pole and global phase of the single-Blaschke-factor map.
 
-    Over |Omega| <= 0.6 the values of a disk automorphism with
-    |S(0)| = |R| differ by at most 1.2 (1 - |R|^2) / (1 - 0.36 |R|^2),
-    less than 4 (1 - |R|).  Where that bound is within
-    :func:`_constant_map_tol` the degenerate
+    The zero is the preimage of S = 0, which is R*.  Over |Omega| <= 0.6
+    the values of a disk automorphism with |S(0)| = |R| differ by at
+    most 1.2 (1 - |R|^2) / (1 - 0.36 |R|^2), less than 4 (1 - |R|).
+    Where that bound is within :func:`_constant_map_tol` the degenerate
     branch is taken: the map is reported as the Omega-independent
     constant S(0) = R' of modulus one, and zero/pole are withheld.
     """
@@ -277,7 +277,7 @@ def blaschke_params(m: TransferMatrix, *, tol: float = 1e-10) -> SMatrixMap:
             degenerate=True,
             constant=coeffs.Rp,
         )
-    zero = coeffs.R.conjugate()
+    zero = s_matrix_inverse(m, 0j)
     pole = OMEGA_INFINITY if coeffs.R == 0 else 1.0 / coeffs.R
     return SMatrixMap(
         delta=delta,

@@ -459,6 +459,20 @@ class TestBadCounts:
         assert capsys.readouterr().err.startswith("BadGrid: grid COUNT must be >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "k", "--omega", "nan,0", "--grid", "1:2:2"],
+        ["sweep", "--axis", "omega", "--modulus", "nan"],
+        ["sweep", "--axis", "omega", "--grid", "0:nan:2"],
+        ["reconstruct", "--omega", "nan,0"],
+    ], ids=["k-sweep-omega", "omega-sweep-modulus", "omega-sweep-grid", "reconstruct-omega"])
+    def test_nan_omega_exit_2(self, tmp_path, capsys, argv):
+        # a nan Omega is bad input, not a table row of nan values
+        out = tmp_path / "out.csv"
+        config = str(CONFIGS / "isp_theta1.json")
+        assert main([*argv, "--config", config, "--output", str(out)]) == 2
+        assert capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize(

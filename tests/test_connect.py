@@ -1,8 +1,12 @@
 import cmath
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singscat import (
     OMEGA_INFINITY,
@@ -22,6 +26,10 @@ from singscat import bases, connect, integrate
 from singscat.connect import TransferResiduals, _global_error, _project
 from singscat.errors import DegenerateTransmission, PoleProximity
 from tests.conftest import isp_config, quartic_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EPS = sys.float_info.epsilon
+ANGLES = st.floats(-math.pi, math.pi)
 
 _DUMMY_RES = TransferResiduals(
     su11_defect=0.0,
@@ -122,6 +130,19 @@ class TestSMatrix:
             w = s_matrix(sol.matrix, om)
             assert s_matrix_inverse(sol.matrix, w) == pytest.approx(om, rel=1e-11)
 
+    @settings(deadline=None, max_examples=300)
+    @given(r=st.floats(0.0, 1.0 - 1e-6), arg_a=ANGLES, arg_b=ANGLES,
+           mod=st.floats(0.0, 0.95, exclude_max=True), arg_om=ANGLES)
+    @example(r=1.0 - 1e-6, arg_a=0.3, arg_b=-2.0, mod=0.94, arg_om=1.0)
+    def test_inverse_undoes_s_matrix(self, r, arg_a, arg_b, mod, arg_om):
+        # S^-1 is the Moebius map of the adjugate of [[a, b], [b*, a*]], so
+        # the round trip is an identity; its rounding, of order eps |a|
+        # in each map, is scaled by 1/|S'| = |b* Omega + a*|^2 <= 4 |a|^2
+        a = cmath.rect(1.0 / math.sqrt((1.0 - r) * (1.0 + r)), arg_a)
+        m = fake_matrix(a, cmath.rect(r * abs(a), arg_b))
+        om = cmath.rect(mod, arg_om)
+        assert abs(s_matrix_inverse(m, s_matrix(m, om)) - om) <= 40.0 * EPS * abs(a) ** 2
+
     def test_sign_correspondence(self, solved):
         sol = solved("quartic")
         for mod in (0.5, 2.0):
@@ -151,6 +172,18 @@ class TestBlaschkeParams:
         assert abs(smap.zero) == pytest.approx(math.exp(-math.pi), rel=1e-8)
         assert abs(smap.pole) == pytest.approx(math.exp(math.pi), rel=1e-8)
         assert abs(smap.zero) < 1.0 < abs(smap.pole)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda c: c.stem)
+    def test_zero_is_the_preimage_of_zero(self, path):
+        # the zero comes from s_matrix_inverse, bit for bit R*; the
+        # degenerate branch withholds it
+        cfg = validate(ProblemConfig.from_json(str(path)))
+        m = transfer_matrix(cfg)
+        zero = s_matrix_inverse(m, 0j)
+        assert zero == scattering_coefficients(m).R.conjugate()
+        assert abs(s_matrix(m, zero)) <= 4.0 * EPS * abs(m.a) ** 2
+        smap = blaschke_params(m, tol=cfg.tol)
+        assert smap.zero == (None if smap.degenerate else zero)
 
     def test_phase_identities(self, solved):
         for name in ("isp05", "isp1", "isp2", "quartic"):
