@@ -183,14 +183,15 @@ def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
         omega0 = args.omega[0] if args.omega else 0j
         if args.axis == "theta" and not config.is_conformal:
             raise BadGrid("theta sweep requires a p=2 configuration")
-        for v in _grid(start, stop, count):
+        for v in map(float, _grid(start, stop, count)):
             if args.axis == "k":
-                sub = config.replaced(k=float(v))
+                sub = config.replaced(k=v)
             else:
-                sub = config.replaced(lam=float(v) ** 2 + 0.25)
+                # v * v rounds to inf where v ** 2 raises; validate rejects it
+                sub = config.replaced(lam=v * v + 0.25)
             m = connect.transfer_matrix(sub)
             s = connect.s_matrix(m, omega0)
-            rows.append((float(v), omega0, s, sub.tol))
+            rows.append((v, omega0, s, sub.tol))
     return rows
 
 
@@ -200,7 +201,8 @@ def cmd_sweep(args) -> int:
     lines = ["axis_value,re_s,im_s,abs_s,sign_ok"]
     for v, om, s, tol in rows:
         lhs = abs(s) ** 2 - 1.0
-        rhs = (abs(om) ** 2 - 1.0) if not math.isinf(abs(om)) else 1.0
+        # |Omega|^2 - 1 without the square, which overflows past |Omega| ~ 1.3e154
+        rhs = (abs(om) - 1.0) * (abs(om) + 1.0)
         if abs(lhs) <= tol or abs(rhs) <= tol:
             ok = abs(lhs) <= tol and abs(rhs) <= tol
         else:

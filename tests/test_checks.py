@@ -119,15 +119,21 @@ def test_reflection_just_above_one_fails_degenerate_spread():
 
 def test_quartic_solve_does_not_load_numpy_random():
     # a solve draws no random points and holds no array, so it imports
-    # neither numpy nor numpy.random (about 13 MB of a solve process); a
-    # reconstruct afterwards loads numpy, which shows the probe works
+    # neither numpy nor numpy.random (about 13 MB of a solve process), and
+    # reconstruct and verify sum and fit on the disk without numpy; a
+    # Hankel-basis solve afterwards loads numpy with scipy, which shows
+    # the probe works
     config = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
+    hankel = config.with_name("noninteger_p2_5.json")
     code = (
         "import os, sys\n"
         "from singscat import cli\n"
         f"assert cli.main(['solve', '--config', {str(config)!r}, '--output', '-']) == 0\n"
         "print('numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
         f"assert cli.main(['reconstruct', '--config', {str(config)!r}, '--output', os.devnull]) == 0\n"
+        f"assert cli.main(['verify', '--config', {str(config)!r}]) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        f"assert cli.main(['solve', '--config', {str(hankel)!r}, '--output', os.devnull]) == 0\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(suite.__file__))
@@ -135,7 +141,7 @@ def test_quartic_solve_does_not_load_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert '"self_dual_phase"' in out.stdout
-    assert out.stderr.split() == ["False", "False", "True"]
+    assert out.stderr.split() == ["False", "False", "False", "True"]
 
 
 @fails("self_dual_phase")

@@ -386,6 +386,28 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("BadGrid: a sweep takes one --omega")
         assert not out.exists()
 
+    def test_huge_omega_modulus_writes_its_rows(self, tmp_path):
+        # |Omega|^2 would overflow; (|Omega| - 1)(|Omega| + 1) rounds to inf,
+        # whose sign matches |S|^2 - 1 > 0 on the far side of the circle
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", "--config", str(CONFIGS / "isp_theta1.json"), "--axis", "k",
+             "--omega", "1e200,0", "--grid", "1:2:2", "--output", str(out)]
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["1", "1"]
+
+    def test_huge_theta_exit_2(self, tmp_path, capsys):
+        # theta^2 + 1/4 rounds to an infinite lambda, which validate rejects
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", "--config", str(CONFIGS / "isp_theta1.json"), "--axis", "theta",
+             "--omega", "0.5,0", "--grid", "1e200:1e201:2", "--output", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BadGrid: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_theta_sweep_needs_conformal_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "p4.json", p=4.0, **{"lambda": 1.0, "l_plus_nu": 0.5})
         assert main(

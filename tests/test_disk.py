@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,10 @@ from singscat import (
     fit_mobius,
     reconstruction_error_estimate,
 )
+from singscat.disk import _grid, _require_uniform
 from singscat.errors import OutsideDisk, RankDeficient
+
+EPS = sys.float_info.epsilon
 
 
 def mobius(a: complex, b: complex):
@@ -24,6 +29,37 @@ def normalized_pair(rho: float, phase_a: float, phase_b: float) -> tuple[complex
     a = math.sqrt(1.0 + rho * rho) * cmath.exp(1j * phase_a)
     b = rho * cmath.exp(1j * phase_b)
     return a, b
+
+
+def fit_error(a: complex, b: complex, fit_a: complex, fit_b: complex) -> float:
+    """Relative error of a fitted (a, b), either sign."""
+    return min(abs(fit_a - s * a) + abs(fit_b - s * b) for s in (1.0, -1.0)) / abs(a)
+
+
+def svd_fit(samples: UnitaryFamilySample) -> tuple[complex, complex]:
+    """Reference fit: null vector of the 2N x 4 real system from a thin SVD."""
+    omegas = np.exp(1j * np.asarray(samples.chis))
+    values = np.asarray(samples.values, dtype=complex)
+    prod = values * omegas
+    rows = np.stack(
+        [omegas - values, 1j * (omegas + values), 1.0 - prod, 1j * (1.0 + prod)], axis=1
+    )
+    x = np.linalg.svd(np.vstack((rows.real, rows.imag)), full_matrices=False)[2][-1]
+    a, b = complex(x[0], x[1]), complex(x[2], x[3])
+    scale = 1.0 / math.sqrt(abs(a) ** 2 - abs(b) ** 2)
+    return a * scale, b * scale
+
+
+def taylor_reference(samples: UnitaryFamilySample, omega: complex) -> complex:
+    """Truncated Taylor sum: sample FFT, then Horner over m < N."""
+    coeffs = np.fft.fft(np.asarray(samples.values, dtype=complex)) / len(samples)
+    acc = 0j
+    for c in coeffs[::-1]:
+        acc = acc * omega + c
+    return complex(acc)
+
+
+FIT_CASES = [(rho, n) for rho in (0.0, 0.1, 1.0, 10.0, 100.0, 300.0) for n in (8, 64, 1024)]
 
 
 class TestFitMobius:
@@ -114,6 +150,44 @@ class TestFitMobius:
             fit_mobius(samples)
         assert abs(exc.value.constant_value - const) < 1e-12
 
+    @pytest.mark.parametrize("rho, n", FIT_CASES)
+    def test_exact_data_error_within_eps_a4(self, rho, n):
+        # the Gram matrix squares the condition number |a|^2 of the
+        # system; the measured worst is about 4 eps |a|^4 (|b| <= 1), and
+        # the SVD's about 3 eps |a|^4 there and far less for large |b|
+        rng = random.Random(f"exact {rho} {n}")
+        for _ in range(4):
+            a, b = normalized_pair(rho, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+            samples = UnitaryFamilySample.uniform_grid(n, mobius(a, b))
+            fit = fit_mobius(samples)
+            bound = 16 * EPS * abs(a) ** 4
+            assert fit_error(a, b, fit.a, fit.b) <= bound
+            assert fit_error(a, b, *svd_fit(samples)) <= bound
+
+    @pytest.mark.parametrize("rho, n", FIT_CASES)
+    def test_noisy_data_error_near_the_svd(self, rho, n):
+        # with noise of 1e-10 the data error 1e-10 |a|^2 outweighs the
+        # Gram's rounding eps |a|^4 here; one draw can leave the SVD far
+        # below its typical error, so the errors of three draws are summed
+        rng = random.Random(f"noisy {rho} {n}")
+        a, b = normalized_pair(rho, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        exact = UnitaryFamilySample.uniform_grid(n, mobius(a, b))
+        gram_err = svd_err = 0.0
+        for _ in range(3):
+            samples = UnitaryFamilySample(exact.chis, tuple(
+                v + complex(rng.gauss(0, 1e-10), rng.gauss(0, 1e-10)) for v in exact.values
+            ))
+            fit = fit_mobius(samples)
+            gram_err += fit_error(a, b, fit.a, fit.b)
+            svd_err += fit_error(a, b, *svd_fit(samples))
+        assert gram_err <= 4 * svd_err
+
+    def test_non_finite_samples_rejected(self):
+        samples = [(cmath.exp(2j * math.pi * j / 4), 1.0) for j in range(4)]
+        samples[2] = (samples[2][0], complex(math.nan, 0.0))
+        with pytest.raises(ValueError):
+            fit_mobius(samples)
+
 
 class TestCauchyReconstruct:
     def setup_method(self):
@@ -153,6 +227,47 @@ class TestCauchyReconstruct:
         est = reconstruction_error_estimate(s, om)
         true = abs(cauchy_reconstruct(s, om) - self.f(om))
         assert est >= true * 0.1 or est < 1e-13
+
+    @pytest.mark.parametrize("n", [8, 128, 2048])
+    def test_matches_taylor_sum_of_the_fft(self, n):
+        # the kernel sum times (1 - Omega^N) is the truncated Taylor sum
+        # algebraically; in floats they agree to rounding for |Omega| <= 0.9
+        rng = random.Random(n)
+        samples = UnitaryFamilySample.uniform_grid(n, mobius(*normalized_pair(3.0, 0.4, -1.1)))
+        points = [0.9 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(10)]
+        points += [0.9 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                   for _ in range(10)]
+        for om in points + [0j, 0.9, -0.9j]:
+            assert abs(cauchy_reconstruct(samples, om) - taylor_reference(samples, om)) <= 2e-15
+
+    @pytest.mark.parametrize("n", [8, 64, 2048])
+    def test_error_estimate_is_the_halving_difference(self, n):
+        samples = UnitaryFamilySample.uniform_grid(n, self.f)
+        half = UnitaryFamilySample(samples.chis[::2], samples.values[::2])
+        for om in (0.4 + 0.1j, -0.85j, 0j):
+            full_rec = cauchy_reconstruct(samples, om)
+            half_rec = cauchy_reconstruct(half, om)
+            est = reconstruction_error_estimate(samples, om)
+            assert abs(est - abs(full_rec - half_rec)) <= 1e-15
+
+    def test_half_grid_is_the_even_nodes(self):
+        # the estimate takes the N/2 sum from the even terms of the N grid
+        for n in [*range(4, 258, 2), 512, 1024, 2048, 4096]:
+            chis, nodes = _grid(n)
+            assert (chis[::2], nodes[::2]) == _grid(n // 2)
+
+    @pytest.mark.parametrize("offset, accepted", [(1e-12, True), (1e-8, False)])
+    def test_uniform_grid_tolerance(self, offset, accepted):
+        samples = UnitaryFamilySample.uniform_grid(16, self.f)
+        chis = list(samples.chis)
+        chis[5] += offset
+        moved = UnitaryFamilySample(tuple(chis), samples.values)
+        if accepted:
+            _require_uniform(moved)
+            assert cauchy_reconstruct(moved, 0.3j) == cauchy_reconstruct(samples, 0.3j)
+        else:
+            with pytest.raises(ValueError, match="uniform grid"):
+                _require_uniform(moved)
 
     def test_nonuniform_grid_rejected(self):
         s = UnitaryFamilySample((0.0, 0.5, 1.7, 3.0), (1, 1, 1, 1))
