@@ -77,8 +77,10 @@ real logarithm, which fixes the branch for all r > 0.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
+import heapq
 import math
 from typing import Callable, NamedTuple
 
@@ -108,6 +110,13 @@ _SERIES_CAP = 10
 _MAX_EXPONENTS = 64
 #: Far-field exponents closer than this are one (rounding is far smaller).
 _SAME_EXPONENT = 1e-9
+#: A coefficient s_gamma lost to float64 ends the far series before its
+#: band: one that overflows, and one that underflows to 0 where its term
+#: at kr = 1, |s_gamma| k^gamma, would exceed e^_LOST_LOG (about 1e-30).
+#: s_gamma falls like Gamma(gamma) / (2k)^gamma, so from k ~ 1e14 on the
+#: coefficients the series needs underflow; a dense lattice holds harmless
+#: ones down to 5e-324.
+_LOST_LOG = -69.0
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
 #: float64 machine epsilon; the p = 2 series stops at a term below eps |F|.
 _EPS = 2.0 ** -52
@@ -117,8 +126,9 @@ _TRUNC_SHARE = 0.1
 #: Smallest series step alpha' - 1 of the dual problem that the dual basis
 #: takes.  A W exponent q near p/2 + 1 has the image q' = 2 - beta (q - 2)
 #: near 1, and the exponents under the cap grow like 1/step: a step of
-#: 0.0213 gives 2,277 of them, built in about 0.6 s, and the build time
-#: grows like step^-2.
+#: 0.0213 gives 2,277 of them, built in about 12 ms.  The build time grows
+#: with the float sums below the cap, rounding twins included: 13,150
+#: there, and 30,564 for the step 0.021 of W = 0.5 r^-2.979 at p = 4 (45 ms).
 _MIN_DUAL_STEP = 0.02
 
 #: Power-law terms (alpha, g) of J - k^2, alpha > 0, in increasing alpha.
@@ -139,35 +149,32 @@ def _series_coefficients(k: float, terms: _Terms) -> _Series:
     """Nonzero terms (n, -gamma, s_gamma) of the far-field correction
     series of J = k^2 + sum g r^(-alpha) over ``terms``, in increasing
     gamma, n = int(gamma), then a zero term in the band after the deepest
-    band built.  The exponents are generated from 0 by the steps 1 and
-    alpha - 1 > 0: all of them below _SERIES_CAP, then unit band after
-    unit band while the series holds at most _MAX_EXPONENTS of them and
-    its coefficients stay finite.  The equation gives
+    band built.  The exponents, generated from 0 by the steps 1 and
+    alpha - 1 > 0, come off a heap in increasing order, each float once:
+    all of them below _SERIES_CAP, then unit band after unit band while the
+    series holds at most _MAX_EXPONENTS of them and no coefficient is lost
+    (_LOST_LOG).  The equation gives
     2 i k gamma s_gamma = (gamma - 1) gamma s_(gamma-1) + sum g s_(gamma+1-alpha).
     """
     steps = {1.0, *(a - 1.0 for a, _ in terms)}
-
-    def closure(found: set[float], cap: int) -> set[float]:  # + every exponent below cap
-        frontier = found
-        while frontier:
-            frontier = {x + d for x in frontier for d in steps if x + d < cap} - found
-            found = found | frontier
-        return found
-
-    cap = _SERIES_CAP
-    found = closure({0.0}, cap)
-    while len(found) <= _MAX_EXPONENTS:
-        wider = closure(found, cap + 1)
-        if len(wider) > _MAX_EXPONENTS:
-            break
-        found, cap = wider, cap + 1
-    known = [(0.0, 1.0 + 0j)]
-    out = []
+    heap, seen = [0.0], {0.0}
+    known, out = [(0.0, 1.0 + 0j)], []  # the exponents kept so far, with their s_gamma
+    cap, popped = _SERIES_CAP, 0
 
     def at(x: float) -> complex:  # s_x, zero where x is not an exponent
-        return next((c for y, c in known if abs(y - x) <= _SAME_EXPONENT), 0j)
+        i = bisect.bisect_left(known, x - _SAME_EXPONENT, key=lambda t: t[0])
+        return known[i][1] if i < len(known) and abs(known[i][0] - x) <= _SAME_EXPONENT else 0j
 
-    for gamma in sorted(found):
+    while True:
+        gamma = heapq.heappop(heap)
+        if gamma >= cap + 1 and popped <= _MAX_EXPONENTS:
+            cap = int(gamma)  # the bands below gamma hold at most _MAX_EXPONENTS
+        if gamma >= cap and popped >= _MAX_EXPONENTS:
+            break  # keeping the band [cap, cap + 1) would pass the budget
+        popped += 1
+        for x in {gamma + d for d in steps} - seen:
+            seen.add(x)
+            heapq.heappush(heap, x)
         if gamma - known[-1][0] <= _SAME_EXPONENT:
             continue  # 0, or a rounding twin of the exponent before
         acc = (gamma - 1.0) * gamma * at(gamma - 1.0)
@@ -175,7 +182,8 @@ def _series_coefficients(k: float, terms: _Terms) -> _Series:
             acc += g * at(gamma + 1.0 - a)
         sg = acc / (2j * k * gamma)
         n = int(gamma + _SAME_EXPONENT)
-        if not cmath.isfinite(sg):  # s_gamma grows like Gamma(gamma) / (2k)^gamma
+        if not cmath.isfinite(sg) or (sg == 0 and acc != 0 and _LOST_LOG < (
+                math.log(abs(acc)) - math.log(2.0 * k * gamma) + gamma * math.log(k))):
             cap = n
             break
         known.append((gamma, sg))
@@ -236,9 +244,14 @@ def _outgoing(k: float, terms: _Terms, r: float) -> tuple[complex, complex, floa
     """u1, du1/dr and the truncation estimate at r of the outgoing far
     member of J = k^2 + sum g r^(-alpha) over ``terms``: the estimate of
     the series plus the first correction of each term too steep for it,
-    weighed as the terms of the series are."""
+    weighed as the terms of the series are.  Where a power r^(-gamma) of
+    the series passes float64, at a radius far inside kr ~ 1 that a
+    radius search may try, u1 and du1/dr are nan and the estimate inf."""
     series, beyond = _series(k, terms)
-    u1, du1, est = _far_series(k, series, r)
+    try:
+        u1, du1, est = _far_series(k, series, r)
+    except OverflowError:
+        return cmath.nan, cmath.nan, math.inf
     return u1, du1, est + sum(s * r ** e * (1.0 - e / (k * r)) for e, s in beyond)
 
 

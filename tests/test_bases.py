@@ -8,7 +8,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singscat import (
@@ -83,6 +83,71 @@ def reference_integer_coefficients(cfg, order):
     return s
 
 
+def three_pass_series_coefficients(k, terms):
+    """The far-series builder that the heap-ordered one replaced, kept as
+    its reference: a set closure regrown to a fixpoint for each unit band,
+    a sort of the whole set, and a recurrence that finds each earlier
+    coefficient by a linear scan."""
+    steps = {1.0, *(a - 1.0 for a, _ in terms)}
+
+    def closure(found, cap):  # + every exponent below cap
+        frontier = found
+        while frontier:
+            frontier = {x + d for x in frontier for d in steps if x + d < cap} - found
+            found = found | frontier
+        return found
+
+    cap = bases._SERIES_CAP
+    found = closure({0.0}, cap)
+    while len(found) <= bases._MAX_EXPONENTS:
+        wider = closure(found, cap + 1)
+        if len(wider) > bases._MAX_EXPONENTS:
+            break
+        found, cap = wider, cap + 1
+    known = [(0.0, 1.0 + 0j)]
+    out = []
+
+    def at(x):  # s_x, zero where x is not an exponent
+        return next((c for y, c in known if abs(y - x) <= bases._SAME_EXPONENT), 0j)
+
+    for gamma in sorted(found):
+        if gamma - known[-1][0] <= bases._SAME_EXPONENT:
+            continue  # 0, or a rounding twin of the exponent before
+        acc = (gamma - 1.0) * gamma * at(gamma - 1.0)
+        for a, g in terms:
+            acc += g * at(gamma + 1.0 - a)
+        sg = acc / (2j * k * gamma)
+        n = int(gamma + bases._SAME_EXPONENT)
+        if not cmath.isfinite(sg):  # s_gamma grows like Gamma(gamma) / (2k)^gamma
+            cap = n
+            break
+        known.append((gamma, sg))
+        if sg != 0:
+            out.append((n, -gamma, sg))
+    return (*(t for t in out if t[0] < cap), (cap, 0.0, 0j))
+
+
+#: Steps whose float sums reach one exponent along paths that differ in
+#: the last bit: rounding twins.
+TWIN_STEPS = [0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 2.2]
+
+
+@st.composite
+def far_term_sets(draw):
+    """k and the power-law terms (alpha, g) of a far series, with 1 to 4
+    steps alpha - 1.  As in the problems the series serves, at most one
+    step lies below 1: one from 0.1 up (a dual W near its limit) or a
+    twin-making decimal; a step below 0.2 comes alone.  The reference's
+    linear scan makes a lattice as dense as step 0.021 cost 0.5 s, so the
+    test's examples hold those."""
+    k = 10.0 ** draw(st.floats(-5.0, 5.0))
+    first = draw(st.one_of(st.floats(0.1, 10.0), st.sampled_from(TWIN_STEPS)))
+    rest = draw(st.lists(st.one_of(st.floats(1.0, 10.0), st.sampled_from(TWIN_STEPS[4:])),
+                         max_size=0 if first < 0.2 else 3))
+    coefficient = st.floats(1e-3, 100.0).flatmap(lambda g: st.sampled_from([g, -g]))
+    return k, tuple(sorted((1.0 + d, draw(coefficient)) for d in [first, *rest]))
+
+
 @st.composite
 def integer_tail_configs(draw):
     p = draw(st.integers(2, 8))
@@ -131,6 +196,20 @@ class TestFarSeries:
         for m in range(1, deepest + 1):
             assert got.get(float(m), 0j) == ref[m]
 
+    @settings(deadline=None, max_examples=60)
+    @given(case=far_term_sets())
+    @example(case=(1.0, ((1.021, -0.5), (4.0, 1.0))))  # the dual of p = 4, W = 0.5 r^-2.979
+    @example(case=(1e-3, ((1.05, 0.7),)))  # a dense lattice whose coefficients overflow
+    @example(case=(1.0, ((2.0, 0.25), (2.3, -0.7), (3.2, 1.0))))  # twins: p = 3.2, W = 0.7 r^-2.3
+    @example(case=(1e-5, ((2.0, 1.25),)))  # coefficients overflow in band 52
+    @example(case=(1.0, ((2.0, 0.25), (2.0000000015, 0.5))))  # kept exponents 1.5e-9 apart
+    def test_one_ordered_pass_matches_the_three_passes(self, case):
+        # the heap pops each float once in increasing order, so twins count
+        # toward the budget and are skipped in the recurrence exactly as in
+        # the set closure, and the series ends at the same band
+        k, terms = case
+        assert _series_coefficients(k, terms) == three_pass_series_coefficients(k, terms)
+
     def test_noninteger_exponents_are_terms(self):
         # p = 2.5, l+nu = 0: steps 1 and 1.5 give every multiple of 1/2
         # from 1 on, two per unit band: 0 and 62 more fill the budget of 64
@@ -171,7 +250,7 @@ class TestFarSeries:
         # offered) holds so many exponents below the cap that one more
         # band would pass the budget, so it holds exactly those, as it
         # always did, and its build cost does not grow: the dual of
-        # W = 0.5 r^-2.979 holds 2,277 exponents and takes about 0.6 s
+        # W = 0.5 r^-2.979 holds 2,297 exponents and takes about 45 ms
         k, terms = _dual_problem(cfg) or (cfg.k, _far_terms(cfg))
         series = _series_coefficients(k, terms)
         assert len(series) > bases._MAX_EXPONENTS - 10

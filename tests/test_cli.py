@@ -299,6 +299,36 @@ class TestSolve:
         assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+class TestScale:
+    """Problems far from unit scale.  Under r -> r/s the k = lambda = 1
+    problem becomes k = s, lambda = s^-(p-2), with the same (a, b).  The
+    far-radius search then reaches kr ~ 1 at tiny radii, where r^(-gamma)
+    passes float64, and the far series needs coefficients that underflow
+    it: each solve must exit 0 within tol * max(1, |a|) of its reference."""
+
+    @staticmethod
+    def solve(tmp_path, **fields):
+        path = write_config(tmp_path, "scaled.json", tol=1e-8, **fields)
+        out = tmp_path / "scaled_report.json"
+        assert main(["solve", "--config", path, "--output", str(out)]) == 0
+        tm = json.loads(out.read_text())["transfer_matrix"]
+        return complex(*tm["a"]), complex(*tm["b"])
+
+    @pytest.mark.parametrize("k", [1e14, 1e16, 1e17, 1e18, 1e20, 1e25, 1e40, 1e80])
+    def test_conformal_matches_isp_exact(self, tmp_path, k):
+        a, b = self.solve(tmp_path, k=k)
+        ref = singscat.isp_exact(1.0, k, 1.0)
+        assert max(abs(a - ref.a), abs(b - ref.b)) <= 1e-8 * max(1.0, abs(ref.a))
+
+    @pytest.mark.parametrize("s", [1e16, 1e20, 1e40])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_core_in_other_units(self, tmp_path, p, s):
+        a, b = self.solve(tmp_path, p=p, l_plus_nu=0.5, k=s, **{"lambda": s ** -(p - 2.0)})
+        ref = connect.transfer_matrix(validate(ProblemConfig(p=p, lam=1.0, k=1.0, l_plus_nu=0.5,
+                                                             tol=1e-8)))
+        assert max(abs(a - ref.a), abs(b - ref.b)) <= 1e-8 * max(1.0, abs(ref.a))
+
+
 class TestSweep:
     def test_omega_circle_sweep(self, isp_config_path, tmp_path):
         out = tmp_path / "sweep.csv"
