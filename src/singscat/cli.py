@@ -183,6 +183,9 @@ def _sweep_rows(config: ValidatedConfig, args) -> list[tuple]:
         omega0 = args.omega[0] if args.omega else 0j
         if args.axis == "theta" and not config.is_conformal:
             raise BadGrid("theta sweep requires a p=2 configuration")
+        # lambda = theta^2 + 1/4 would solve |theta|, or the subcritical theta = 0
+        if args.axis == "theta" and not (start > 0.0 and stop > 0.0):
+            raise BadGrid(f"theta grid START and STOP must be > 0, got {start}, {stop}")
         for v in map(float, _grid(start, stop, count)):
             if args.axis == "k":
                 sub = config.replaced(k=v)

@@ -224,21 +224,23 @@ def scattering_coefficients(
 def s_matrix(m: TransferMatrix, omega: complex, *, tol: float = 1e-13) -> complex:
     """Reduced S-matrix at boundary-condition parameter Omega.
 
-    Accepts the projective point :data:`OMEGA_INFINITY` (returns a/b*).
-    Raises :class:`PoleProximity` within ``tol * |pole|`` of the pole.
+    Evaluates S = (a x + b y) / (b* x + a* y) in one chart of the Omega
+    sphere: (x, y) = (Omega, 1) on the closed unit disk and (1, 1/Omega)
+    outside it, so no product overflows for finite Omega; the projective
+    point :data:`OMEGA_INFINITY` is 1/Omega = 0 (S = a/b*).  Raises
+    :class:`PoleProximity` where |b* x + a* y| < tol |y| max(|a|, |b|),
+    which is |Omega - pole| < tol max(1, |pole|) in the disk's chart.
     """
     if _is_inf(omega):
-        if m.b == 0:
-            raise PoleProximity("map evaluates to infinity at Omega=infinity (b=0)")
-        return m.a / m.b.conjugate()
-    denom = m.b.conjugate() * omega + m.a.conjugate()
-    if m.b != 0:
-        pole = m.a.conjugate() / (-m.b.conjugate())
-        if abs(omega - pole) < tol * max(abs(pole), 1.0):
-            raise PoleProximity(f"Omega={omega} within {tol:.1e} of pole {pole}")
-    elif denom == 0:
-        raise PoleProximity("vanishing denominator")
-    return (m.a * omega + m.b) / denom
+        x, y = 1.0, 0.0
+    elif abs(omega) <= 1.0:
+        x, y = omega, 1.0
+    else:
+        x, y = 1.0, 1.0 / omega
+    den = m.b.conjugate() * x + m.a.conjugate() * y
+    if den == 0 or abs(den) < tol * abs(y) * max(abs(m.a), abs(m.b)):
+        raise PoleProximity(f"Omega={omega} within {tol:.1e} of the pole -a*/b*")
+    return (m.a * x + m.b * y) / den
 
 
 def s_matrix_inverse(m: TransferMatrix, value: complex) -> complex:

@@ -47,26 +47,25 @@ def _grid(n: int) -> tuple[tuple[float, ...], tuple[complex, ...]]:
 
 @dataclass(frozen=True)
 class UnitaryFamilySample:
-    """Boundary samples {(chi_i, S(e^(i chi_i)))} on a uniform phase grid."""
+    """Boundary samples S(e^(i chi_j)) at the uniform phases chi_j = 2 pi j / N."""
 
-    chis: tuple[float, ...]
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.chis) != len(self.values):
-            raise ValueError("chis and values must have equal length")
-        if len(self.chis) < 2:
+        if len(self.values) < 2:
             raise ValueError("need at least 2 boundary samples")
 
     def __len__(self) -> int:
-        return len(self.chis)
+        return len(self.values)
+
+    @property
+    def chis(self) -> tuple[float, ...]:
+        return _grid(len(self.values))[0]
 
     @classmethod
     def uniform_grid(cls, n: int, evaluator) -> "UnitaryFamilySample":
-        """Build N uniform boundary samples chi_j = 2 pi j / N from a
-        callable Omega -> S(Omega)."""
-        chis, nodes = _grid(n)
-        return cls(chis, tuple(map(complex, map(evaluator, nodes))))
+        """Build N uniform boundary samples from a callable Omega -> S(Omega)."""
+        return cls(tuple(map(complex, map(evaluator, _grid(n)[1]))))
 
 
 @dataclass(frozen=True)
@@ -120,11 +119,7 @@ def fit_mobius(samples) -> MobiusFit:
     carries the constant value.
     """
     if isinstance(samples, UnitaryFamilySample):
-        grid_chis, nodes = _grid(len(samples))
-        if samples.chis == grid_chis:
-            omegas = nodes
-        else:
-            omegas = [cmath.exp(1j * chi) for chi in samples.chis]
+        omegas = _grid(len(samples))[1]
         values = list(map(complex, samples.values))
     else:
         # unpacking rejects malformed samples
@@ -226,20 +221,11 @@ def _smallest_eigenvector(g: list[list[float]]) -> list[float]:
     return [row[j] for row in v]
 
 
-def _require_uniform(samples: UnitaryFamilySample) -> None:
-    chis = _grid(len(samples))[0]
-    if samples.chis != chis and any(
-        map((1e-9).__lt__, map(abs, map(sub, samples.chis, chis)))
-    ):
-        raise ValueError("samples must sit on the uniform grid chi_j = 2 pi j / N")
-
-
 def _kernel_terms(samples: UnitaryFamilySample, omega: complex):
     """Iterator over the terms S_j w_j / (w_j - Omega) of the trapezoidal
     Cauchy sum, computed elementwise in C."""
     if abs(omega) >= 1.0:
         raise OutsideDisk(f"|Omega|={abs(omega)} >= 1")
-    _require_uniform(samples)
     nodes = _grid(len(samples))[1]
     return map(truediv, map(mul, samples.values, nodes), map(sub, nodes, repeat(omega)))
 

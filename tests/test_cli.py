@@ -438,6 +438,33 @@ class TestSweep:
         assert err.startswith("BadGrid: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["-1:-0.5:2", "0:1:3", "0.5:-0.5:3", "nan:1:2", "1:nan:2"])
+    def test_theta_grid_not_positive_exit_2(self, tmp_path, capsys, monkeypatch, grid):
+        # lambda = theta^2 + 1/4 would solve |theta| under the row's -theta,
+        # or end in a subcritical theta = 0 after solving every earlier point
+        monkeypatch.setattr(connect, "transfer_matrix", None)  # no solve is started
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", "--config", str(CONFIGS / "isp_theta1.json"), "--axis", "theta",
+             f"--grid={grid}", "--output", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BadGrid: theta grid START and STOP must be > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "omega", "--modulus", "1e306", "--grid", "0:6:4"],
+        ["--axis", "k", "--omega", "1e306,0", "--grid", "0.5:1.5:3"],
+    ], ids=["omega", "k"])
+    def test_omega_past_float64_products_is_finite(self, tmp_path, argv):
+        # |Omega| max(|a|, |b|) overflows float64 on this barrier; outside
+        # the disk S is evaluated in 1/Omega, where it tends to a/b*
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(CONFIGS / "degenerate_barrier.json"), *argv,
+                     "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row[1:4])
+
     def test_theta_sweep_needs_conformal_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "p4.json", p=4.0, **{"lambda": 1.0, "l_plus_nu": 0.5})
         assert main(

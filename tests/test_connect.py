@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from singscat import (
     validate,
 )
 from singscat import bases, connect, integrate
-from singscat.connect import TransferResiduals, _global_error, _project
+from singscat.connect import TransferResiduals, _global_error, _is_inf, _project
 from singscat.errors import DegenerateTransmission, PoleProximity
 from tests.conftest import isp_config, quartic_config
 
@@ -43,6 +44,50 @@ _DUMMY_RES = TransferResiduals(
 
 def fake_matrix(a: complex, b: complex) -> TransferMatrix:
     return TransferMatrix(a=a, b=b, residuals=_DUMMY_RES)
+
+
+def disk_chart_s_matrix(m: TransferMatrix, omega: complex, *, tol: float = 1e-13) -> complex:
+    """Reference: S(Omega) evaluated in Omega on the whole sphere, with the
+    pole tested in Omega; its products overflow once |Omega| max(|a|, |b|)
+    passes float64."""
+    if _is_inf(omega):
+        if m.b == 0:
+            raise PoleProximity("map evaluates to infinity at Omega=infinity (b=0)")
+        return m.a / m.b.conjugate()
+    denom = m.b.conjugate() * omega + m.a.conjugate()
+    if m.b != 0:
+        pole = m.a.conjugate() / (-m.b.conjugate())
+        if abs(omega - pole) < tol * max(abs(pole), 1.0):
+            raise PoleProximity(f"Omega={omega} within {tol:.1e} of pole {pole}")
+    elif denom == 0:
+        raise PoleProximity("vanishing denominator")
+    return (m.a * omega + m.b) / denom
+
+
+def exact_s_matrix(m: TransferMatrix, omega: complex) -> tuple[mp.mpc, mp.mpf]:
+    """S(Omega) at 50 digits, and the relative condition number
+    (|a||Omega| + |b|) (1/|a Omega + b| + 1/|b* Omega + a*|) of its
+    numerator and denominator, which bounds the rounding of any float64
+    evaluation in units of eps."""
+    with mp.workdps(50):
+        a, b = mp.mpc(m.a), mp.mpc(m.b)
+        if _is_inf(omega):
+            return a / mp.conj(b), mp.mpf(1)
+        om = mp.mpc(omega)
+        num, den = a * om + b, mp.conj(b) * om + mp.conj(a)
+        cond = (abs(a) * abs(om) + abs(b)) * (1 / abs(num) + 1 / abs(den))
+        return num / den, cond
+
+
+# |Omega| in four regions: the closed disk, where S is evaluated in Omega;
+# outside it, where S is evaluated in 1/Omega, with |Omega| max(|a|, |b|)
+# inside and past float64; and the projective point at infinity
+OMEGAS = st.one_of(
+    st.builds(cmath.rect, st.floats(0.0, 1.0), ANGLES),
+    st.builds(cmath.rect, st.floats(1.0, 1e300, exclude_min=True, exclude_max=True), ANGLES),
+    st.builds(cmath.rect, st.floats(1e300, 1e308), ANGLES),
+    st.just(OMEGA_INFINITY),
+)
 
 
 class TestProjection:
@@ -142,6 +187,52 @@ class TestSMatrix:
         m = fake_matrix(a, cmath.rect(r * abs(a), arg_b))
         om = cmath.rect(mod, arg_om)
         assert abs(s_matrix_inverse(m, s_matrix(m, om)) - om) <= 40.0 * EPS * abs(a) ** 2
+
+    @settings(deadline=None, max_examples=500)
+    @given(mod_b=st.floats(0.0, 1e4), arg_a=ANGLES, arg_b=ANGLES, om=OMEGAS)
+    @example(mod_b=1e4, arg_a=0.3, arg_b=-2.0, om=1e306 + 0j)
+    @example(mod_b=0.0, arg_a=0.3, arg_b=-2.0, om=1e308 + 0j)
+    @example(mod_b=0.0, arg_a=0.3, arg_b=-2.0, om=OMEGA_INFINITY)
+    def test_chart_matches_the_disk_chart_and_50_digits(self, mod_b, arg_a, arg_b, om):
+        m = fake_matrix(cmath.rect(math.hypot(1.0, mod_b), arg_a), cmath.rect(mod_b, arg_b))
+        try:
+            ref = disk_chart_s_matrix(m, om)
+        except PoleProximity:
+            with pytest.raises(PoleProximity):
+                s_matrix(m, om)
+            return
+        s = s_matrix(m, om)
+        if abs(om) <= 1.0 or _is_inf(om):
+            # the disk chart and the point at infinity take the same steps
+            assert s == ref
+            return
+        exact, cond = exact_s_matrix(m, om)
+        # both evaluations round their numerator and denominator; only next
+        # to the pole does the condition number lift this past a few eps
+        bound = 4.0 * EPS * abs(s) * max(1.0, float(cond))
+        assert cmath.isfinite(s)
+        assert float(abs(s - exact)) <= bound
+        # past 1e300 the reference's products overflow: its quotient is nan,
+        # inf or a wrong finite value such as 0 for |Omega| near 1e308
+        if abs(om) * abs(m.a) < 1e300:
+            assert abs(s - ref) <= bound
+        # |S|^2 - 1 = (|a|^2 - |b|^2)(|Omega|^2 - 1) / |b* Omega + a*|^2 has
+        # the sign of |Omega| - 1 wherever it is past 1e-12 and |S| - 1 is
+        # past its rounding
+        gap = abs(s) - 1.0
+        if abs(gap) * (abs(s) + 1.0) > 1e-12 and abs(gap) > 4.0 * EPS * float(cond) * abs(s):
+            assert (abs(s) > 1.0) == (abs(om) > 1.0)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0 - 1.0j), (3.0 + 1.0j, 2.0j)],
+                             ids=["pole_inside", "pole_outside"])
+    def test_pole_proximity_on_either_side_of_the_circle(self, a, b):
+        m = fake_matrix(a, b)
+        pole = -m.a.conjugate() / m.b.conjugate()
+        assert (abs(pole) < 1.0) == (abs(m.a) < abs(m.b))
+        for om in (pole, pole * (1.0 + 1e-15), pole + 1e-14j):
+            with pytest.raises(PoleProximity):
+                s_matrix(m, om)
+        assert cmath.isfinite(s_matrix(m, pole * (1.0 + 1e-9)))
 
     def test_sign_correspondence(self, solved):
         sol = solved("quartic")
