@@ -111,11 +111,9 @@ _MAX_EXPONENTS = 64
 #: Far-field exponents closer than this are one (rounding is far smaller).
 _SAME_EXPONENT = 1e-9
 #: A coefficient s_gamma lost to float64 ends the far series before its
-#: band: one that overflows, and one that underflows to 0 where its term
-#: at kr = 1, |s_gamma| k^gamma, would exceed e^_LOST_LOG (about 1e-30).
-#: s_gamma falls like Gamma(gamma) / (2k)^gamma, so from k ~ 1e14 on the
-#: coefficients the series needs underflow; a dense lattice holds harmless
-#: ones down to 5e-324.
+#: band: one that overflows, and one that underflows to 0 where its term at
+#: kr = 1, |s_gamma| k^gamma, would exceed e^_LOST_LOG (about 1e-30); solves
+#: run at k = 1, so only a dual series (k' = beta sqrt(lambda)) has the latter.
 _LOST_LOG = -69.0
 _EXP_M_I_PI_4 = cmath.exp(-0.25j * math.pi)
 #: float64 machine epsilon; the p = 2 series stops at a term below eps |F|.
@@ -537,7 +535,7 @@ def _plan(config: ValidatedConfig) -> _Plan:
         try:
             r = _edge(lambda x: basis.estimate(config, x) + _barrier_phase(config, x) <= target,
                       start, 2.0, cap, 400)
-        except OverflowError:  # r^(-n/2) past float64
+        except (OverflowError, ZeroDivisionError):  # r^(-n/2) past float64, or r = 0
             r = None
         if r is not None and (r_min is None or r > r_min):
             best, r_min = basis, r

@@ -10,10 +10,8 @@ the costlier ones: ``global_error`` (a re-extraction at a finer step
 tolerance from half the inner radius, projected at twice the far
 matching radius, so that it sees both truncations too),
 ``cauchy_consistency`` and ``uniform_average`` (boundary samples
-against direct values), ``mu_covariance_phase`` and
-``mu_covariance_moduli`` (scale covariance of R for p = 2), and
-``current_outgoing`` and ``current_origin`` (the unit currents of both
-bases).
+against direct values), and ``current_outgoing`` and ``current_origin``
+(the unit currents of both bases).
 
 Every check here can fail on some matrix.  Identities that
 M = [[a, b], [b*, a*]] obeys for any a != 0 (the left-moving unitarity
@@ -100,7 +98,6 @@ def verify_checks(
     config: ValidatedConfig,
     m: connect.TransferMatrix,
     coeffs: connect.ScatteringCoefficients,
-    smap: connect.SMatrixMap,
     nodes: int,
 ) -> list[dict]:
     """Checks that ``verify`` runs on top of :func:`solve_checks`, with
@@ -121,24 +118,14 @@ def verify_checks(
     avg = disk.absorption_average(samples)
     checks.append(_check("uniform_average", abs(avg - coeffs.Rp), 10.0 * tol))
 
-    if config.is_conformal and not smap.degenerate:
-        m2 = connect.transfer_matrix(config.replaced(mu=2.0 * config.mu))
-        c2 = connect.scattering_coefficients(m2)
-        turn = cmath.exp(-2j * config.theta * math.log(2.0))
-        shift = cmath.phase(c2.R / coeffs.R * turn)
-        mods = max(
-            abs(abs(c2.R) - abs(coeffs.R)), abs(abs(c2.T) - abs(coeffs.T))
-        )
-        checks.append(_check("mu_covariance_phase", abs(shift), 100.0 * tol))
-        checks.append(_check("mu_covariance_moduli", mods, 10.0 * tol))
-
-    # the conjugate member carries exactly minus each current
-    far = bases.eval_asymptotic(config, m.residuals.r_max_used)
+    # the conjugate member carries exactly minus each current; read at unit k
+    unit = connect._unit_k(config)[1]
+    far = bases.eval_asymptotic(unit, config.k * m.residuals.r_max_used)
     j1 = current(far.state)
     cur_tol = max(100.0 * tol, 10.0 * far.trunc_error)
     checks.append(_check("current_outgoing", abs(j1.real - 2.0), cur_tol))
 
-    near = bases.eval_singularity(config, m.residuals.r_min_used)
+    near = bases.eval_singularity(unit, config.k * m.residuals.r_min_used)
     jp = current(near.state)
     near_tol = max(100.0 * tol, 10.0 * near.trunc_error)
     checks.append(_check("current_origin", abs(jp.real - 2.0), near_tol))

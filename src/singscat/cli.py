@@ -249,9 +249,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_verify(args) -> int:
     _require_at_least("nodes", args.nodes, 8)
     config = validate(ProblemConfig.from_json(args.config))
-    report, (m, coeffs, smap) = _solve_report(config)
+    report, (m, coeffs, _) = _solve_report(config)
     checks = list(report["checks"])
-    checks.extend(verify_checks(config, m, coeffs, smap, args.nodes))
+    checks.extend(verify_checks(config, m, coeffs, args.nodes))
     width = max(len(c["name"]) for c in checks)
     for c in checks:
         print(

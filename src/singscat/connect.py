@@ -46,7 +46,7 @@ from . import bases
 from .currents import wronskian
 from .errors import DegenerateTransmission, PoleProximity, SingularRegionTooFar
 from .integrate import StateVector, propagate
-from .model import ValidatedConfig
+from .model import ValidatedConfig, kr_coefficient
 
 __all__ = [
     "OMEGA_INFINITY",
@@ -129,7 +129,7 @@ def _project(config: ValidatedConfig, state: StateVector) -> tuple[complex, comp
 
 
 def transfer_matrix(config: ValidatedConfig) -> TransferMatrix:
-    """Extract the transfer matrix of a validated configuration.
+    """Extract the transfer matrix of a validated configuration, at unit k.
 
     Initializes the outgoing solution from the near-origin basis at the
     inner radius of :func:`singscat.choose_r_min`, propagates it in one
@@ -165,33 +165,46 @@ def _global_error(config: ValidatedConfig, m: TransferMatrix) -> float:
     return max(abs(fine.a - m.a), abs(fine.b - m.b)) / max(1.0, abs(m.a))
 
 
+def _unit_k(config: ValidatedConfig) -> tuple[complex, ValidatedConfig]:
+    """The problem in r' = k r, where J / k^2 has k' = 1, terms c k^(q-2) r'^(-q)
+    and a Gaussian W (h / k^2, k c, k w), and the phase phi that maps its
+    (a', b') back: a = phi a', b = phi* b'.  Both bases carry unit current
+    in their own variable; only p = 2's (mu r)^(i theta) = (mu/k)^(i theta)
+    r'^(i theta) turns (a, b), so mu' = 1 and phi = exp(i theta ln(mu/k))."""
+    k, ep = config.k, config.extra_potential
+    phase = (cmath.exp(1j * config.theta * (math.log(config.mu) - math.log(k)))
+             if config.is_conformal else 1.0)
+    return phase, config.replaced(lam=kr_coefficient(config.lam, config.p, k), k=1.0, mu=1.0,
+                                  extra_potential=ep and ep.in_kr(k))
+
+
 def _extract(
     config: ValidatedConfig,
     local_tol: float,
     r_min: float | None = None,
     r_max: float | None = None,
 ) -> TransferMatrix:
-    """One leg at per-step tolerance ``local_tol`` from ``r_min`` and one
-    projection at ``r_max``, by default the inner and far matching radii."""
-    if r_min is None:
-        r_min = bases.choose_r_min(config)
-    near = bases.eval_singularity(config, r_min).state
+    """One leg at unit k (:func:`_unit_k`) at per-step tolerance ``local_tol``
+    from ``r_min`` and one projection at ``r_max``, in the caller's units, by
+    default the inner and far matching radii."""
+    phase, unit = _unit_k(config)
+    r_min = bases.choose_r_min(unit) if r_min is None else config.k * r_min
+    near = bases.eval_singularity(unit, r_min).state
     if not (cmath.isfinite(near.u) and cmath.isfinite(near.du)):
         raise SingularRegionTooFar(
-            f"the near-origin basis is not finite at the inner radius r = {r_min:.3e} "
+            f"the near-origin basis is not finite at the inner radius kr = {r_min:.3e} "
             f"(lambda = {config.lam:g}, p = {config.p:g})"
         )
-    if r_max is None:
-        r_max = bases.choose_r_max_start(config)
-    leg = propagate(config, near, r_max, local_tol=local_tol)
-    a, c2, trunc = _project(config, leg.final)
-    b = c2.conjugate()
+    r_max = bases.choose_r_max_start(unit) if r_max is None else config.k * r_max
+    leg = propagate(unit, near, r_max, local_tol=local_tol)
+    a, c2, trunc = _project(unit, leg.final)
+    a, b = phase * a, (phase * c2).conjugate()
     residuals = TransferResiduals(
         su11_defect=abs(abs(a) ** 2 - abs(b) ** 2 - 1.0),
         wronskian_drift=leg.wronskian_drift,
         basis_trunc=trunc,
-        r_min_used=r_min,
-        r_max_used=r_max,
+        r_min_used=r_min / config.k,
+        r_max_used=r_max / config.k,
         local_tol=local_tol,
     )
     return TransferMatrix(a=a, b=b, residuals=residuals)

@@ -49,6 +49,7 @@ __all__ = [
     "ValidatedConfig",
     "validate",
     "invariant_callable",
+    "kr_coefficient",
     "power_terms",
 ]
 
@@ -66,9 +67,9 @@ class ExtraPotential:
     Each kind bounds what the bases leave out of W: ``tail_integral(r)``
     over (r, infinity) and ``origin_phase(r, lam, p)`` over (0, r).  A
     power law leaves nothing out; its ``power_term`` joins the terms of
-    :func:`power_terms` instead.  Descriptors round-trip through the JSON
-    config as ``{"name": ..., <field>: <value>, ...}``, with exactly the
-    kind's fields.
+    :func:`power_terms` instead.  ``in_kr(k)`` is W in the variable kr.
+    Descriptors round-trip through the JSON config as
+    ``{"name": ..., <field>: <value>, ...}``, with exactly the kind's fields.
     """
 
     name: ClassVar[str]
@@ -112,6 +113,9 @@ class GaussianBarrier(ExtraPotential):
     def value(self, r: float) -> float:
         return self.height * math.exp(-(((r - self.center) / self.width) ** 2))
 
+    def in_kr(self, k: float) -> "GaussianBarrier":
+        return GaussianBarrier(self.height / k / k, k * self.center, k * self.width)
+
     def power_term(self) -> None:
         return None
 
@@ -146,6 +150,9 @@ class InversePower(ExtraPotential):
 
     def value(self, r: float) -> float:
         return self.coefficient * r ** (-self.exponent)
+
+    def in_kr(self, k: float) -> "InversePower":
+        return InversePower(kr_coefficient(self.coefficient, self.exponent, k), self.exponent)
 
     def power_term(self) -> tuple[float, float]:
         """(q, c) such that -W = c r^(-q)."""
@@ -182,8 +189,8 @@ class ProblemConfig:
     extra_potential : ExtraPotential or None
         Optional smooth short-range term W(r).
     r_min, r_max : float
-        Starting points of the matching-radius searches, which move each
-        radius either way: r_min to the largest radius, and r_max to the
+        Starting values of kr for the matching-radius searches, which move
+        each radius either way: r_min to the largest, and r_max to the
         smallest, where the basis there meets ``0.1 tol``.
     tol : float
         Relative tolerance driving every numerical stage.
@@ -269,7 +276,7 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         oscillating, a regime outside this package's scope.
     BadGrid
         Non-finite or inconsistent radii, tolerances or parameters, or a
-        k whose square overflows float64 or underflows to 0.
+        lambda k^(p-2) or W that leaves float64 in kr, where solves run.
     """
     for key, f in _SCHEMA.items():
         value = getattr(config, f.name)
@@ -281,11 +288,12 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         raise NonSingular(f"lambda must be positive, got {config.lam}")
     if config.k <= 0.0:
         raise BadGrid(f"k must be positive, got {config.k}")
-    k2 = config.k * config.k  # J and both far series hold k^2
-    if not math.isfinite(k2):
-        raise BadGrid(f"k = {config.k:g} is too large: k^2 overflows float64")
-    if k2 == 0.0:
-        raise BadGrid(f"k = {config.k:g} is too small: k^2 underflows to 0")
+    if kr_coefficient(config.lam, config.p, config.k) in (0.0, math.inf):
+        raise BadGrid(f"lambda k^(p-2) leaves float64 (lambda = {config.lam:g}, k = {config.k:g})")
+    ep = config.extra_potential
+    for key, v in asdict(ep.in_kr(config.k)).items() if ep else ():
+        if not math.isfinite(v):  # one that underflows is below every other term
+            raise BadGrid(f"extra_potential {key} overflows float64 in kr (k = {config.k:g})")
     if config.tol <= 0.0:
         raise BadGrid(f"tol must be positive, got {config.tol}")
     if not (0.0 < config.r_min < config.r_max):
@@ -306,18 +314,15 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     else:
         n_exponent = config.p - 2.0
 
-    given = {f.name: getattr(config, f.name) for f in fields(ProblemConfig)}
-    valid = ValidatedConfig(**given, theta=theta, n_exponent=n_exponent)
     # only the core may reach q >= p/2 + 1: for any other term the
     # near-origin phase integral then diverges and the matching basis
     # loses its meaning, even though the term is still subdominant in J
     # itself.  At p = 2 this leaves no room for a power-law W.
-    if sum(q >= config.p / 2.0 + 1.0 for q, _ in power_terms(valid)) > 1:
-        raise BadGrid(
-            "inverse_power exponent must stay below p/2 + 1 "
-            "(convergent near-origin phase)"
-        )
-    return valid
+    if isinstance(ep, InversePower) and ep.coefficient and ep.exponent >= config.p / 2.0 + 1.0:
+        raise BadGrid("inverse_power exponent must stay below p/2 + 1 "
+                      "(convergent near-origin phase)")
+    given = {f.name: getattr(config, f.name) for f in fields(ProblemConfig)}
+    return ValidatedConfig(**given, theta=theta, n_exponent=n_exponent)
 
 
 def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:
@@ -346,6 +351,14 @@ def invariant_callable(config: ValidatedConfig) -> Callable[[float], float]:
             def j(r: float) -> float:
                 return k2 + lam * r ** (-p) - cf / (r * r) - w(r)
     return j
+
+
+def kr_coefficient(c: float, q: float, k: float) -> float:
+    """c k^(q-2), a term c r^(-q) of J in J / k^2 in kr: k^(q/2 - 1) formed in
+    logs, applied twice, is exact at k = 1 and 0 or inf only where c k^(q-2) is."""
+    x = 0.5 * (q - 2.0) * math.log(k)
+    half = math.exp(x) if x < 709.5 else math.inf  # past it c half^2 overflows for normal c
+    return c * half * half if c else c
 
 
 def power_terms(config: ValidatedConfig) -> tuple[tuple[float, float], ...]:

@@ -77,7 +77,8 @@ def isp_exact(theta: float, k: float, mu: float) -> IspExactResult:
     if theta <= 0.0 or k <= 0.0 or mu <= 0.0:
         raise ValueError("theta, k, mu must all be positive")
     modulus = 1.0 / math.sqrt(-math.expm1(-2.0 * math.pi * theta))  # |a|
-    turn = cmath.exp(1j * (_gamma_phase(theta) + theta * math.log(2.0 * mu / k)))  # a / |a|
+    log_scale = math.log(2.0) + math.log(mu) - math.log(k)  # ln(2 mu / k), which may overflow
+    turn = cmath.exp(1j * (_gamma_phase(theta) + theta * log_scale))  # a / |a|
     a = modulus * turn
     b = modulus * math.exp(-math.pi * theta) * turn.conjugate()
     astar = a.conjugate()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from singscat import (
     OMEGA_INFINITY,
+    GaussianBarrier,
+    InversePower,
     ProblemConfig,
     TransferMatrix,
     blaschke_params,
@@ -327,6 +329,65 @@ class TestScaleCovariance:
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 7.0, 1e-150, 1e150, 1e300])
+    def test_mu_is_an_exact_phase(self, mu):
+        # the solve takes mu' = 1 and turns a by (mu/k)^(i theta), b by its
+        # conjugate: the closed form's (2 mu/k)^(+-i theta) catches a turn
+        # the wrong way round, and a near basis with any other constant in
+        # its logarithm
+        cfg = isp_config(1.0, mu=mu)
+        m = transfer_matrix(cfg)
+        ex = isp_exact(1.0, 1.0, mu)
+        assert abs(m.a - ex.a) <= cfg.tol * abs(ex.a)
+        assert abs(m.b - ex.b) <= cfg.tol * abs(ex.a)
+
+    @settings(deadline=None, max_examples=40)
+    @given(log_k=st.floats(-300.0, 300.0), log_mu=st.floats(-300.0, 300.0))
+    @example(log_k=150.0, log_mu=0.0)
+    @example(log_k=-10.0, log_mu=0.0)
+    @example(log_k=0.0, log_mu=308.0)
+    def test_conformal_core_at_any_scale(self, log_k, log_mu):
+        # p = 2 depends on k/mu alone, and only through a phase
+        k, mu = 10.0 ** log_k, 10.0 ** log_mu
+        cfg = isp_config(1.0, k=k, mu=mu)
+        m = transfer_matrix(cfg)
+        ex = isp_exact(1.0, k, mu)
+        assert abs(m.a - ex.a) <= cfg.tol * abs(ex.a)
+        assert abs(m.b - ex.b) <= cfg.tol * abs(ex.a)
+
+    @settings(deadline=None, max_examples=30)
+    @given(p=st.sampled_from([3.0, 4.0, 6.0]), x=st.floats(-1.0, 1.0))
+    @example(p=4.0, x=80.0 / 150.0)
+    def test_core_at_any_scale(self, p, x):
+        # (k, lambda) = (s, s^-(p-2)) is the s = 1 problem in units of 1/s;
+        # |log10 s| <= 300 / (p - 2) keeps lambda a normal float
+        e = 300.0 / (p - 2.0) * x
+        cfg = validate(ProblemConfig(p=p, lam=10.0 ** (-(p - 2.0) * e), k=10.0 ** e,
+                                     l_plus_nu=0.5, tol=1e-8))
+        m = transfer_matrix(cfg)
+        ref = transfer_matrix(cfg.replaced(lam=1.0, k=1.0))
+        assert abs(m.a - ref.a) <= cfg.tol * abs(ref.a)
+        assert abs(m.b - ref.b) <= cfg.tol * abs(ref.a)
+
+
+    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    @pytest.mark.parametrize("unit_w", [GaussianBarrier(2.0, 2.0, 0.5), InversePower(0.5, 2.5)],
+                             ids=["gaussian", "inverse_power"])
+    def test_extra_potential_at_any_scale(self, s, unit_w):
+        # r -> r/s turns the unit problem into k = s, lambda = s^-2 and W
+        # (h s^2, c/s, w/s) or (c s^-(q-2), q), with the same (a, b)
+        if isinstance(unit_w, GaussianBarrier):
+            w = GaussianBarrier(unit_w.height * s * s, unit_w.center / s, unit_w.width / s)
+        else:
+            w = InversePower(unit_w.coefficient * s ** (2.0 - unit_w.exponent), unit_w.exponent)
+        unit = validate(ProblemConfig(p=4.0, lam=1.0, k=1.0, l_plus_nu=0.5, tol=1e-8,
+                                      extra_potential=unit_w))
+        ref = transfer_matrix(unit)
+        m = transfer_matrix(unit.replaced(lam=s ** -2.0, k=s, extra_potential=w))
+        assert abs(m.a - ref.a) <= unit.tol * abs(ref.a)
+        assert abs(m.b - ref.b) <= unit.tol * abs(ref.a)
+
+
 class TestStabilization:
     def test_levels_converged(self, solved):
         # the far basis meets its 0.1 tol share at the one projection radius
@@ -382,8 +443,13 @@ class TestStabilization:
                                      quartic_config(tol=1e-8).replaced(k=1.0625)],
                              ids=["isp1", "p4-tol1e-8"])
     def test_one_choice_per_problem(self, monkeypatch, cfg):
-        # the basis and both radii are chosen in one place: a new problem
-        # finds its core-dominated region once, a repeated solve not again
+        # the basis and both radii are chosen in one place, for the problem
+        # at unit k: a new problem finds its core-dominated region once, a
+        # repeated solve not again.  isp1's unit problem is isp_config(1.0),
+        # which other tests may have planned already
+        bases._plan.cache_clear()
+        unit = connect._unit_k(cfg)[1]
+        assert unit.k == 1.0
         calls = []
         honest = bases.r_min_cap
 
@@ -393,9 +459,9 @@ class TestStabilization:
 
         monkeypatch.setattr(bases, "r_min_cap", spy)
         transfer_matrix(cfg)
-        assert calls == [cfg]
+        assert calls == [unit]
         transfer_matrix(cfg)
-        assert calls == [cfg]
+        assert calls == [unit]
 
     def test_global_error_sees_a_phase_error(self, solved):
         sol = solved("isp1")

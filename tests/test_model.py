@@ -70,6 +70,38 @@ class TestValidate:
         with pytest.raises(BadGrid):
             validate(ProblemConfig(p=3.0, lam=1.0, k=1.0, extra_potential=ep3))
 
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            (dict(p=4.0, lam=1.0, k=1e170), "lambda k^(p-2)"),
+            (dict(p=4.0, lam=1.0, k=1e-300), "lambda k^(p-2)"),
+            (dict(p=4.0, lam=1e200, k=1e-200,
+                  extra_potential=GaussianBarrier(1.0, 2.0, 0.5)), "height"),
+            (dict(p=4.0, lam=1e-300, k=1e150,
+                  extra_potential=GaussianBarrier(1.0, 1e200, 0.5)), "center"),
+            (dict(p=4.0, lam=1e-300, k=1e150,
+                  extra_potential=InversePower(1e200, 2.9)), "coefficient"),
+        ],
+    )
+    def test_problem_leaving_float64_in_kr_rejected(self, kwargs, key):
+        # solves run in the variable kr, where lambda becomes lambda k^(p-2),
+        # a Gaussian (h / k^2, k c, k w) and a power-law coefficient c k^(q-2)
+        with pytest.raises(BadGrid, match=re.escape(key)):
+            validate(ProblemConfig(**kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(p=2.0, lam=1.25, k=1e300),
+            dict(p=2.0, lam=1.25, k=1e-300),
+            dict(p=6.0, lam=1e-300, k=1e80),  # k^(p-2) alone overflows
+            # lambda k^(p-2) = 1, and a height that underflows to 0 in kr
+            dict(p=4.0, lam=1e-40, k=1e20, extra_potential=GaussianBarrier(1e-300, 2.0, 0.5)),
+        ],
+    )
+    def test_problem_in_float64_in_kr_accepted(self, kwargs):
+        validate(ProblemConfig(**kwargs))
+
     def test_extra_potential_descriptor_errors(self):
         with pytest.raises(BadGrid):
             ExtraPotential.from_descriptor({"name": "gaussian_barrier", "height": 1.0})
